@@ -7,12 +7,13 @@ Machine-readable JSON goes to stdout; the human-readable table for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .chains import make_chain
-from .errors import ChainTopError
+from .errors import ChainTopError, ParseError
 from .formats import (
     dump_poset,
     load_poset,
@@ -68,7 +69,10 @@ def _parse_indices(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(part) for part in text.split(",")]
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isdecimal() for part in parts):
+        raise ParseError(f"expected comma-separated element indices, got {text!r}")
+    return [int(part) for part in parts]
 
 
 def _cmd_poset(args) -> int:
@@ -213,7 +217,9 @@ def _cmd_separate(args) -> int:
     return 0 if report.all_ok() else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chaintop",
         description="Exact order theory and topology on finite posets and decidable chains",

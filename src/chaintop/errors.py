@@ -39,6 +39,10 @@ class NotALattice(ChainTopError):
     pass
 
 
+class NotATopology(ChainTopError, ValueError):
+    """A set family or neighbourhood vector that is not a topology."""
+
+
 class NotOpen(ChainTopError):
     pass
 

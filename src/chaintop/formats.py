@@ -21,7 +21,7 @@ from .intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from .poset import FinitePoset, build_poset
 from .separating import Cut, JumpCertificate, SeparatingFunction
 from .topology import Topology
-from .bitsets import as_set, mask_of
+from .bitsets import elements, mask_of
 
 
 def loads_json(text: str):
@@ -89,6 +89,8 @@ def topology_from_dict(data: dict) -> Topology:
     if not isinstance(data, dict):
         raise SchemaError("topology document must be an object")
     n = _require(data, "n", int, "")
+    if n < 0:
+        raise SchemaError("the carrier size must be nonnegative", path="n")
     opens_raw = _require(data, "opens", list, "")
     masks = set()
     for i, member in enumerate(opens_raw):
@@ -97,11 +99,11 @@ def topology_from_dict(data: dict) -> Topology:
         ):
             raise SchemaError("each open must be a list of carrier indices", path=f"opens[{i}]")
         masks.add(mask_of(member))
-    return Topology(n, frozenset(masks))
+    return Topology.from_opens(n, masks)
 
 
 def topology_to_dict(T: Topology) -> dict:
-    return {"n": T.n, "opens": [sorted(as_set(m)) for m in T.sorted_opens]}
+    return {"n": T.n, "opens": [list(elements(m)) for m in T.sorted_opens]}
 
 
 def load_topology(text: str) -> Topology:
@@ -207,6 +209,8 @@ def separating_from_dict(chain: ChainHandle, data: dict) -> SeparatingFunction:
         cuts.append(Cut(threshold, side, value))
     default = Fraction(data.get("default", "1"))
     depth = data.get("depth", 10)
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise SchemaError(f"field 'depth' has type {type(depth).__name__}", path="depth")
     complemented = bool(data.get("complemented", False))
     certs = []
     for i, c in enumerate(data.get("certificates", [])):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .chains import ChainHandle, FiniteChain, ReversedChain
-from .errors import NotClosed, NotLowerSet, PointInsideA
+from .errors import CapExceeded, ChainTopError, NotClosed, NotLowerSet, PointInsideA
 from .intervals import (
     NEG_INF,
     POS_INF,
@@ -32,6 +32,8 @@ BELOW_OR_EQUAL = "below-or-equal"
 STRICTLY_BELOW = "strictly-below"
 
 DEFAULT_DEPTH = 10
+# a dense stretch bisects into up to 2^depth cuts
+DEPTH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,10 @@ def separate_from_lower(
     the result is a two-valued step; otherwise bisection builds a dyadic
     staircase with one certificate per jump.
     """
+    if depth < 0:
+        raise ChainTopError(f"depth must be nonnegative, got {depth}")
+    if depth > DEPTH_CAP:
+        raise CapExceeded(depth, DEPTH_CAP)
     x = C.validate(x)
     if interval_member(A, x):
         raise PointInsideA(f"{C.format(x)} lies inside the set to separate from")

@@ -357,7 +357,7 @@ def _claim_prop4(cfg: SuiteConfig) -> _Check:
         T = canonical_topology(P, "intrinsic")
         check.run(f"C{n}: intrinsic not a pospace", is_pospace(P, T))
         check.run(f"C{n}: intrinsic not a topological lattice", is_topological_lattice(P, T))
-        minimal = T.minimal_neighbourhoods
+        minimal = T.minimal
         hausdorff = all(
             not minimal[x] & minimal[y] for x in range(n) for y in range(x + 1, n)
         )
@@ -749,7 +749,7 @@ def _cd_witness(P: FinitePoset) -> str | None:
 
 def _pospace_witness(P: FinitePoset) -> str | None:
     T = canonical_topology(P, "upper")
-    minimal = T.minimal_neighbourhoods
+    minimal = T.minimal
     for x in range(P.n):
         for y in range(P.n):
             if P.leq(x, y):
@@ -768,7 +768,7 @@ def _cc_witness(P: FinitePoset) -> str | None:
 
 def _normality_witness(P: FinitePoset) -> str | None:
     T = canonical_topology(P, "upper")
-    minimal = T.minimal_neighbourhoods
+    minimal = T.minimal
     closed = [T.full & ~u for u in T.opens]
     for a in closed:
         for b in closed:

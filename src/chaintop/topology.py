@@ -1,10 +1,17 @@
 """Explicit topologies on finite carriers.
 
-Open families are materialized as frozensets of bitmasks and validated
-on construction, so topology equality is structural equality.  The
-separation and continuity checks exploit the fact that on a finite
-carrier every point has a least open neighbourhood: an open set exists
-around A avoiding B iff the least one does.
+Every topology on a finite carrier is Alexandrov: each point x has a
+least open set U_x, and the opens are exactly the unions of these.  A
+topology is stored as the bitmask vector of its U_x, validated on
+construction in O(n^2), so topology equality is equality of the
+vectors; generation, joins, subspaces and products are pointwise.  The
+open family is derived from the U_x only when it is asked for (the
+dump format, whole-family iteration).  The Scott topology is still
+built from its directed-supremum definition and then reduced to U_x.
+The separation and continuity checks use that an open set exists
+around A avoiding B iff the least one does.  Products stay capped at
+PRODUCT_CARRIER_CAP points; hereditary normality walks all 2^n
+subspaces and is capped at HEREDITARY_CAP.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .errors import (
     CarrierMismatch,
     IndexOutOfRange,
     NotALattice,
+    NotATopology,
 )
 from .poset import FinitePoset
 
@@ -40,87 +48,87 @@ CANONICAL_NAMES = (
 )
 
 
+def _least_neighbourhoods(n: int, family: Iterable[int]) -> tuple[int, ...]:
+    """U_x for each x: the intersection of the members containing x."""
+    minimal = [full_mask(n)] * n
+    for u in family:
+        for x in elements(u):
+            minimal[x] &= u
+    return tuple(minimal)
+
+
 @dataclass(frozen=True)
 class Topology:
-    """A family of open subsets of {0..n-1}, closed under union and
-    intersection and containing the empty set and the whole carrier."""
+    """A topology on {0..n-1}, given by the least open set
+    ``minimal[x]`` around each point x.
+
+    The opens are exactly the unions of these sets; equality of
+    topologies is equality of the tuples.
+    """
 
     n: int
-    opens: frozenset[int]
+    minimal: tuple[int, ...]
 
     def __post_init__(self):
-        full = full_mask(self.n)
-        for u in self.opens:
-            if u & ~full:
+        if not isinstance(self.minimal, tuple) or len(self.minimal) != self.n:
+            raise NotATopology(f"expected a tuple of {self.n} least neighbourhoods")
+        for x, u in enumerate(self.minimal):
+            if u & ~self.full:
                 raise IndexOutOfRange(f"open {u:#x} exceeds carrier of size {self.n}")
-        if 0 not in self.opens or full not in self.opens:
-            raise ValueError("a topology must contain the empty set and the carrier")
-        fam = self.opens
-        for a in fam:
-            for b in fam:
-                if b > a:
-                    continue
-                if a | b not in fam or a & b not in fam:
-                    raise ValueError("open family is not closed under union/intersection")
+            if not u >> x & 1:
+                raise NotATopology(f"the least neighbourhood of {x} misses {x}")
+            for y in elements(u):
+                if self.minimal[y] & ~u:
+                    raise NotATopology(f"{y} lies in U_{x} but U_{y} is not inside U_{x}")
+
+    @classmethod
+    def from_opens(cls, n: int, opens: Iterable[int]) -> Topology:
+        """The topology whose open family is ``opens``; rejects families
+        that are not closed under union and intersection."""
+        fam = frozenset(opens)
+        full = full_mask(n)
+        for u in fam:
+            if u & ~full:
+                raise IndexOutOfRange(f"open {u:#x} exceeds carrier of size {n}")
+        if 0 not in fam or full not in fam:
+            raise NotATopology("a topology must contain the empty set and the carrier")
+        T = cls(n, _least_neighbourhoods(n, fam))
+        # every member is the union of its points' U_x; closure under
+        # adding any U_x from the empty set yields every such union
+        if any(u | v not in fam for u in fam for v in T.minimal):
+            raise NotATopology("open family is not closed under union/intersection")
+        return T
 
     @cached_property
     def full(self) -> int:
         return full_mask(self.n)
 
     @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every union of the U_x, built up one point at a time."""
+        fam = {0}
+        for u in self.minimal:
+            fam |= {v | u for v in fam}
+        return frozenset(fam)
+
+    @cached_property
     def sorted_opens(self) -> tuple[int, ...]:
         return tuple(sorted(self.opens, key=lambda m: (m.bit_count(), elements(m))))
 
-    @cached_property
-    def minimal_neighbourhoods(self) -> tuple[int, ...]:
-        """minimal_neighbourhoods[x] is the least open set containing x."""
-        out = []
-        for x in range(self.n):
-            acc = self.full
-            bit = 1 << x
-            for u in self.opens:
-                if u & bit:
-                    acc &= u
-            out.append(acc)
-        return tuple(out)
-
     def is_open_mask(self, mask: int) -> bool:
-        return mask in self.opens
+        return self.interior_mask(mask) == mask
 
     def is_closed_mask(self, mask: int) -> bool:
-        return (self.full & ~mask) in self.opens
+        return self.is_open_mask(self.full & ~mask)
 
     def open_sets(self) -> list[frozenset[int]]:
         return [as_set(m) for m in self.sorted_opens]
 
     def interior_mask(self, mask: int) -> int:
-        out = 0
-        for u in self.opens:
-            if u & ~mask == 0:
-                out |= u
-        return out
+        return mask_of(x for x, u in enumerate(self.minimal) if not u & ~mask)
 
     def closure_mask(self, mask: int) -> int:
         return self.full & ~self.interior_mask(self.full & ~mask)
-
-
-def _close_family(n: int, seed: Iterable[int]) -> frozenset[int]:
-    """Unions of finite intersections of the seed, plus empty and full."""
-    fam = set(seed)
-    fam.add(0)
-    fam.add(full_mask(n))
-    for op in (int.__and__, int.__or__):
-        changed = True
-        while changed:
-            changed = False
-            current = list(fam)
-            for i, a in enumerate(current):
-                for b in current[i + 1 :]:
-                    c = op(a, b)
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return frozenset(fam)
 
 
 def generate_topology(n: int, subbasis: Iterable[Iterable[int]]) -> Topology:
@@ -132,20 +140,20 @@ def generate_topology(n: int, subbasis: Iterable[Iterable[int]]) -> Topology:
         if m & ~full:
             raise IndexOutOfRange(f"subbasis member {m:#x} exceeds carrier of size {n}")
         masks.append(m)
-    return Topology(n, _close_family(n, masks))
+    return Topology(n, _least_neighbourhoods(n, masks))
 
 
 def join_topologies(T1: Topology, T2: Topology) -> Topology:
     """Topology generated by both open families together."""
     if T1.n != T2.n:
         raise CarrierMismatch(f"carriers {T1.n} and {T2.n} differ")
-    return Topology(T1.n, _close_family(T1.n, T1.opens | T2.opens))
+    return Topology(T1.n, tuple(u & v for u, v in zip(T1.minimal, T2.minimal)))
 
 
 def topology_equal(T1: Topology, T2: Topology) -> bool:
     if T1.n != T2.n:
         raise CarrierMismatch(f"carriers {T1.n} and {T2.n} differ")
-    return T1.opens == T2.opens
+    return T1.minimal == T2.minimal
 
 
 def _upper_topology(P: FinitePoset) -> Topology:
@@ -174,7 +182,7 @@ def _scott_topology(P: FinitePoset) -> Topology:
             continue
         if all(s_mask & mask for s_mask, s in dirs if mask >> s & 1):
             opens.append(mask)
-    return Topology(P.n, frozenset(opens))
+    return Topology.from_opens(P.n, opens)
 
 
 def canonical_topology(P: FinitePoset, name: str) -> Topology:
@@ -215,11 +223,11 @@ def canonical_topology(P: FinitePoset, name: str) -> Topology:
 
 
 def discrete_topology(n: int) -> Topology:
-    return Topology(n, frozenset(range(1 << n)))
+    return Topology(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete_topology(n: int) -> Topology:
-    return Topology(n, frozenset({0, full_mask(n)}))
+    return Topology(n, (full_mask(n),) * n)
 
 
 def hull(T: Topology, subset: Iterable[int], kind: str) -> frozenset[int]:
@@ -246,39 +254,22 @@ def subspace_topology(T: Topology, subset: Iterable[int]) -> Topology:
         raise IndexOutOfRange(f"subset exceeds carrier of size {T.n}")
     points = elements(mask)
     index = {p: i for i, p in enumerate(points)}
-    opens = set()
-    for u in T.opens:
-        opens.add(mask_of(index[p] for p in elements(u & mask)))
-    return Topology(len(points), frozenset(opens))
+    minimal = tuple(mask_of(index[q] for q in elements(T.minimal[p] & mask)) for p in points)
+    return Topology(len(points), minimal)
 
 
 def product_topology(T1: Topology, T2: Topology) -> Topology:
-    """All unions of open rectangles on the n*m carrier (row-major)."""
+    """Product topology on the n*m carrier (row-major): the least open
+    set around (x, y) is the rectangle U_x * U_y."""
     n, m = T1.n, T2.n
     if n * m > PRODUCT_CARRIER_CAP:
         raise CapExceeded(n * m, PRODUCT_CARRIER_CAP)
-    rects = set()
-    for u in T1.opens:
-        for v in T2.opens:
-            r = 0
-            for x in elements(u):
-                for y in elements(v):
-                    r |= 1 << (x * m + y)
-            rects.add(r)
-    fam = set(rects)
-    changed = True
-    while changed:
-        changed = False
-        current = list(fam)
-        for i, a in enumerate(current):
-            for b in current[i + 1 :]:
-                c = a | b
-                if c not in fam:
-                    fam.add(c)
-                    changed = True
-    fam.add(0)
-    fam.add(full_mask(n * m))
-    return Topology(n * m, frozenset(fam))
+    minimal = tuple(
+        mask_of(a * m + b for a in elements(u) for b in elements(v))
+        for u in T1.minimal
+        for v in T2.minimal
+    )
+    return Topology(n * m, minimal)
 
 
 def _normal_over(points: tuple[int, ...], closed: list[int], minimal: dict[int, int]) -> bool:
@@ -324,15 +315,8 @@ class SeparationReport:
 def _relative_normal(T: Topology, space: int) -> bool:
     """Normality of the subspace on ``space`` without reindexing."""
     points = elements(space)
-    rel_opens = {u & space for u in T.opens}
-    minimal = {}
-    for x in points:
-        acc = space
-        for u in rel_opens:
-            if u >> x & 1:
-                acc &= u
-        minimal[x] = acc
-    closed = [space & ~u for u in rel_opens]
+    minimal = {x: T.minimal[x] & space for x in points}
+    closed = [space & ~u for u in {u & space for u in T.opens}]
     return _normal_over(points, closed, minimal)
 
 
@@ -341,7 +325,7 @@ def separation_report(T: Topology, hereditary_cap: int = HEREDITARY_CAP) -> Sepa
     if T.n > hereditary_cap:
         raise CapExceeded(T.n, hereditary_cap)
     t1 = all(T.is_closed_mask(1 << x) for x in range(T.n))
-    minimal = T.minimal_neighbourhoods
+    minimal = T.minimal
     hausdorff = all(
         not minimal[x] & minimal[y] for x in range(T.n) for y in range(x + 1, T.n)
     )
@@ -363,7 +347,7 @@ def is_pospace(P: FinitePoset, T: Topology) -> bool:
     """
     if P.n != T.n:
         raise CarrierMismatch(f"poset carrier {P.n} differs from topology carrier {T.n}")
-    minimal = T.minimal_neighbourhoods
+    minimal = T.minimal
     for x in range(P.n):
         for y in range(P.n):
             if P.leq(x, y):
@@ -400,7 +384,7 @@ def is_topological_lattice(P: FinitePoset, T: Topology) -> bool:
     join = _pairwise_op_table(P, "sup")
     if meet is None or join is None:
         raise NotALattice("some pair lacks a meet or a join")
-    minimal = T.minimal_neighbourhoods
+    minimal = T.minimal
     for table in (meet, join):
         for x in range(P.n):
             for y in range(P.n):
@@ -422,15 +406,14 @@ def is_order_convex_mask(P: FinitePoset, mask: int) -> bool:
 
 def has_order_convex_basis(P: FinitePoset, T: Topology) -> bool:
     """Every point of every open set has an open order-convex
-    neighbourhood inside it."""
+    neighbourhood inside it.
+
+    Inside U_x the only open set around x is U_x itself, so this holds
+    iff every least neighbourhood is order-convex.
+    """
     if P.n != T.n:
         raise CarrierMismatch(f"poset carrier {P.n} differs from topology carrier {T.n}")
-    convex = {u for u in T.opens if is_order_convex_mask(P, u)}
-    for u in T.opens:
-        for x in elements(u):
-            if not any(v >> x & 1 and v & ~u == 0 for v in convex):
-                return False
-    return True
+    return all(is_order_convex_mask(P, u) for u in T.minimal)
 
 
 def xu_condition(P: FinitePoset) -> bool:

@@ -206,12 +206,12 @@ def test_criterion_6_separation_package():
     count = 0
     for opens in _all_topologies_on(4):
         count += 1
-        rep = separation_report(Topology(4, opens))
+        rep = separation_report(Topology.from_opens(4, opens))
         if not rep.normal and non_normal is None:
             non_normal = opens
     ok = ok and non_normal is not None
     ok = ok and count == 355  # known number of topologies on 4 labelled points
-    ok = ok and not separation_report(Topology(4, non_normal)).completely_normal
+    ok = ok and not separation_report(Topology.from_opens(4, non_normal)).completely_normal
     _criterion(
         "criterion-6 prop4+thm7+thm8(1)+xu on intrinsic chains",
         ok,

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from chaintop.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 C3 = '{"n": 3, "mode": "hasse", "pairs": [[0, 1], [1, 2]]}'
 
@@ -168,3 +174,63 @@ def test_separate(capsys):
 def test_missing_file_is_reported(capsys):
     code, _, err = run_cli(capsys, "poset", "check", "/nonexistent/p.json")
     assert code == 2 and "error" in err
+
+
+def test_bad_topology_files_exit_2(capsys, tmp_path, c3_file):
+    code, out, _ = run_cli(capsys, "topo", "make", c3_file, "upper")
+    ok = tmp_path / "ok.json"
+    ok.write_text(out)
+    for label, opens in (
+        ("missing-carrier", [[], [0], [0, 1]]),
+        ("not-union-closed", [[], [0], [1], [0, 1, 2]]),
+    ):
+        bad = tmp_path / f"{label}.json"
+        bad.write_text(json.dumps({"n": 3, "opens": opens}))
+        code, out, err = run_cli(capsys, "topo", "equal", str(bad), str(ok))
+        assert code == 2 and out == "" and err.startswith("error:"), label
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "query", "{c3}", "cone", "--set", "a"),
+        ("poset", "query", "{c3}", "cone", "--set", "-1"),
+        ("poset", "cutstable", "{c3}", "{c3}", "--image", "0,x,2"),
+        ("decompose", "--poset", "{c3}", "--set", "0,,2"),
+    ],
+)
+def test_bad_index_lists_exit_2(capsys, c3_file, argv):
+    code, out, err = run_cli(capsys, *(a.format(c3=c3_file) for a in argv))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("depth", ["-1", "13"])
+def test_separate_depth_out_of_range_exits_2(capsys, depth):
+    code, out, err = run_cli(
+        capsys,
+        "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4", "--depth", depth,
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_commands_in_one_process_match_fresh_processes(capsys, c3_file, tmp_path):
+    # the parser is built once per process; several different commands
+    # through it must answer as a fresh interpreter does
+    upper = tmp_path / "upper.json"
+    commands = [
+        ("topo", "make", c3_file, "upper"),
+        ("poset", "query", c3_file, "cone", "--set", "1", "--dir", "up"),
+        ("topo", "equal", str(upper), str(upper)),
+        ("suite", "run", "--claims", "prop5", "--max-n", "3", "--json", "--inject-fault", "scott"),
+        ("waybelow", "0", "1", "--poset", c3_file, "--www"),
+        ("suite", "run", "--claims", "prop5", "--max-n", "3", "--json"),
+        ("poset", "query", c3_file, "cone", "--set", "1"),
+    ]
+    upper.write_text(run_cli(capsys, *commands[0])[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "chaintop.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -71,6 +71,8 @@ def test_topology_schema_errors():
         load_topology('{"n":2,"opens":[[0,5]]}')
     with pytest.raises(SchemaError):
         load_topology('{"opens":[]}')
+    with pytest.raises(SchemaError):
+        load_topology('{"n":-1,"opens":[[]]}')
 
 
 def test_interval_literals():
@@ -119,3 +121,6 @@ def test_separating_schema_errors():
         separating_from_dict(rat, {"cuts": [{"side": "sideways", "threshold": "0", "value": "0"}]})
     with pytest.raises(SchemaError):
         separating_from_dict(rat, {"cuts": [{"side": "strictly-below", "threshold": "zebra", "value": "0"}]})
+    for depth in ("10", 2.5, True, None):
+        with pytest.raises(SchemaError):
+            separating_from_dict(rat, {"cuts": [], "depth": depth})

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chaintop import (
+    CapExceeded,
+    ChainTopError,
     FiniteChain,
     Interval,
     IntervalSet,
@@ -21,6 +23,7 @@ from chaintop import (
     separate_from_upper,
     verify_separating,
 )
+from chaintop.separating import DEFAULT_DEPTH, DEPTH_CAP
 
 RAT = make_chain("rat01")
 
@@ -176,3 +179,17 @@ def test_evaluate_matches_call():
     for q in RAT.sample(6, 40):
         assert evaluate(f, q) == f(q)
         assert 0 <= f(q) <= 1
+
+
+def test_depth_is_checked_against_its_range():
+    A = IntervalSet(RAT, (below(Fraction(1, 2)),))
+    with pytest.raises(ChainTopError):
+        separate_from_lower(RAT, A, Fraction(3, 4), depth=-1)
+    with pytest.raises(CapExceeded):
+        separate_from_lower(RAT, A, Fraction(3, 4), depth=DEPTH_CAP + 1)
+    upper = IntervalSet(RAT, (Interval(Fraction(1, 2), False, Fraction(1), False),))
+    with pytest.raises(CapExceeded):
+        separate_from_upper(RAT, upper, Fraction(1, 4), depth=DEPTH_CAP + 1)
+    assert DEPTH_CAP >= DEFAULT_DEPTH
+    f = separate_from_lower(RAT, A, Fraction(3, 4), depth=0)
+    assert [c.kind for c in f.certificates] == ["density"]

@@ -48,9 +48,9 @@ def test_generate_trivial_cases():
 
 def test_topology_invariants_validated():
     with pytest.raises(ValueError):
-        Topology(2, frozenset({0}))  # missing the carrier
+        Topology.from_opens(2, {0})  # missing the carrier
     with pytest.raises(ValueError):
-        Topology(2, frozenset({0b00, 0b01, 0b10}))  # missing the union
+        Topology.from_opens(2, {0b00, 0b01, 0b10})  # missing the union
 
 
 def test_generated_topology_contains_subbasis_and_is_closed():
