@@ -127,7 +127,7 @@ def _cmd_topo(args) -> int:
     elif args.action == "report":
         P, _ = _load_poset_arg(args.poset)
         T = canonical_topology(P, args.name)
-        _emit(separation_report(T, hereditary_cap=args.hereditary_cap).as_dict())
+        _emit(separation_report(T).as_dict())
     return 0
 
 
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = topo_sub.add_parser("report")
     sp.add_argument("poset")
     sp.add_argument("name", choices=CANONICAL_NAMES)
-    sp.add_argument("--hereditary-cap", type=int, default=8)
     sp.set_defaults(func=_cmd_topo)
 
     sp = sub.add_parser("waybelow", help="way-below queries")

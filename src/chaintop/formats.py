@@ -190,40 +190,52 @@ def separating_to_dict(f: SeparatingFunction) -> dict:
     }
 
 
+def _optional(obj: dict, key: str, types, default, path: str = ""):
+    return _require(obj, key, types, path) if key in obj else default
+
+
+def _parsed(parse, text: str, path: str):
+    """A chain element or a fraction read from a string field."""
+    try:
+        return parse(text)
+    except (MalformedElement, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(str(exc), path=path) from exc
+
+
 def separating_from_dict(chain: ChainHandle, data: dict) -> SeparatingFunction:
     if not isinstance(data, dict):
         raise SchemaError("separating function document must be an object")
     cuts_raw = _require(data, "cuts", list, "")
     cuts = []
     for i, c in enumerate(cuts_raw):
+        path = f"cuts[{i}]"
         if not isinstance(c, dict):
-            raise SchemaError("each cut must be an object", path=f"cuts[{i}]")
-        side = _require(c, "side", str, f"cuts[{i}].")
+            raise SchemaError("each cut must be an object", path=path)
+        side = _require(c, "side", str, f"{path}.")
         if side not in ("below-or-equal", "strictly-below"):
-            raise SchemaError(f"unknown cut side {side!r}", path=f"cuts[{i}].side")
-        try:
-            threshold = chain.parse(_require(c, "threshold", str, f"cuts[{i}]."))
-            value = Fraction(_require(c, "value", str, f"cuts[{i}]."))
-        except (MalformedElement, ValueError) as exc:
-            raise SchemaError(str(exc), path=f"cuts[{i}]") from exc
+            raise SchemaError(f"unknown cut side {side!r}", path=f"{path}.side")
+        threshold = _parsed(chain.parse, _require(c, "threshold", str, f"{path}."), path)
+        value = _parsed(Fraction, _require(c, "value", str, f"{path}."), path)
         cuts.append(Cut(threshold, side, value))
-    default = Fraction(data.get("default", "1"))
+    default = _parsed(Fraction, _optional(data, "default", str, "1"), "default")
     depth = data.get("depth", 10)
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise SchemaError(f"field 'depth' has type {type(depth).__name__}", path="depth")
-    complemented = bool(data.get("complemented", False))
+    complemented = _optional(data, "complemented", bool, False)
     certs = []
-    for i, c in enumerate(data.get("certificates", [])):
+    for i, c in enumerate(_optional(data, "certificates", list, [])):
+        path = f"certificates[{i}]"
+        if not isinstance(c, dict):
+            raise SchemaError("each certificate must be an object", path=path)
+        witness = _optional(c, "witness", (str, type(None)), None, f"{path}.")
         certs.append(
             JumpCertificate(
-                kind=_require(c, "kind", str, f"certificates[{i}]."),
-                lo=chain.parse(_require(c, "lo", str, f"certificates[{i}].")),
-                hi=chain.parse(_require(c, "hi", str, f"certificates[{i}].")),
-                lo_value=Fraction(_require(c, "lo_value", str, f"certificates[{i}].")),
-                hi_value=Fraction(_require(c, "hi_value", str, f"certificates[{i}].")),
-                witness=None
-                if c.get("witness") is None
-                else chain.parse(c["witness"]),
+                kind=_require(c, "kind", str, f"{path}."),
+                lo=_parsed(chain.parse, _require(c, "lo", str, f"{path}."), path),
+                hi=_parsed(chain.parse, _require(c, "hi", str, f"{path}."), path),
+                lo_value=_parsed(Fraction, _require(c, "lo_value", str, f"{path}."), path),
+                hi_value=_parsed(Fraction, _require(c, "hi_value", str, f"{path}."), path),
+                witness=None if witness is None else _parsed(chain.parse, witness, path),
             )
         )
     return SeparatingFunction(

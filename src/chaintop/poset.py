@@ -7,7 +7,7 @@ over masks.  All values are immutable and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -258,6 +258,10 @@ def is_directed(P: FinitePoset, subset: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class PosetClassification:
+    """Completeness and density flags.  ``up_complete`` is directed
+    completeness, which every finite poset has: a finite directed set
+    has a greatest element, and that is its supremum."""
+
     is_chain: bool
     is_lattice: bool
     order_dense: bool
@@ -266,18 +270,23 @@ class PosetClassification:
     up_complete: bool
 
     def as_dict(self) -> dict:
-        return {
-            "is_chain": self.is_chain,
-            "is_lattice": self.is_lattice,
-            "order_dense": self.order_dense,
-            "complete": self.complete,
-            "conditionally_complete": self.conditionally_complete,
-            "up_complete": self.up_complete,
-        }
+        return asdict(self)
+
+
+def conditional_completeness_failure(P: FinitePoset) -> Optional[int]:
+    """The first nonempty subset (as a mask) that has an upper bound but
+    no supremum, or None when P is conditionally complete."""
+    for mask in range(1, 1 << P.n):
+        ubs = P.upper_bounds_mask(mask)
+        if ubs and P.least_of(ubs) is None:
+            return mask
+    return None
 
 
 def classify(P: FinitePoset) -> PosetClassification:
-    """Completeness and density flags, each by exhaustive quantification."""
+    """Completeness and density flags.  Complete means conditionally
+    complete with a least and a greatest element: then every subset is
+    bounded, and the least element is the supremum of the empty set."""
     is_lattice = all(
         P.sup_mask(mask_of((a, b))) is not None and P.inf_mask(mask_of((a, b))) is not None
         for a in range(P.n)
@@ -289,24 +298,14 @@ def classify(P: FinitePoset) -> PosetClassification:
         for y in range(P.n)
         if P.lt(x, y)
     )
-    complete = True
-    conditionally_complete = True
-    up_complete = True
-    for mask in range(1 << P.n):
-        s = P.sup_mask(mask)
-        if s is None:
-            complete = False
-            if mask:
-                up_complete = False
-                if P.upper_bounds_mask(mask):
-                    conditionally_complete = False
+    conditionally_complete = conditional_completeness_failure(P) is None
     return PosetClassification(
         is_chain=P.is_chain,
         is_lattice=is_lattice,
         order_dense=order_dense,
-        complete=complete,
+        complete=conditionally_complete and P.least() is not None and P.greatest() is not None,
         conditionally_complete=conditionally_complete,
-        up_complete=up_complete,
+        up_complete=True,
     )
 
 

@@ -137,8 +137,9 @@ def way_way_below_set(P: FinitePoset, x: int, cap: int = EXHAUSTIVE_CAP) -> froz
     return frozenset(y for y in range(P.n) if way_way_below(P, y, x, cap))
 
 
-def is_completely_distributive(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> bool:
-    """Every element is the supremum of the elements way-way-below it."""
+def distributivity_failure(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> int | None:
+    """The first element that is not the supremum of the elements
+    way-way-below it, or None when P is completely distributive."""
     _check_cap(P, cap)
     for x in range(P.n):
         approx = 0
@@ -146,8 +147,13 @@ def is_completely_distributive(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> boo
             if way_way_below(P, y, x, cap):
                 approx |= 1 << y
         if P.sup_mask(approx) != x:
-            return False
-    return True
+            return x
+    return None
+
+
+def is_completely_distributive(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> bool:
+    """Every element is the supremum of the elements way-way-below it."""
+    return distributivity_failure(P, cap) is None
 
 
 def is_continuous_poset(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> bool:

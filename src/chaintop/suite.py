@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bitsets import as_set, elements
+from .bitsets import as_set
 from .chains import ChainHandle, FiniteChain, OMEGA, make_chain
 from .errors import ChainTopError, CoverageGap, UnknownTarget
 from .intervals import (
@@ -32,9 +32,16 @@ from .intervals import (
     interval_member,
     normalize,
 )
-from .poset import FinitePoset, build_poset, chain_poset, dm_closure
+from .poset import (
+    FinitePoset,
+    build_poset,
+    chain_poset,
+    conditional_completeness_failure,
+    dm_closure,
+)
 from .relations import (
     chain_way_below,
+    distributivity_failure,
     is_completely_distributive,
     is_hypercontinuous,
     corollary3_report,
@@ -50,6 +57,8 @@ from .topology import (
     is_pospace,
     is_topological_lattice,
     join_topologies,
+    normality_failure,
+    pospace_failure,
     separation_report,
     topology_equal,
     xu_condition,
@@ -110,7 +119,6 @@ class SuiteConfig:
     interval_cases: int = 120
     separation_samples: int = 200
     dm_max_n: int = 6
-    hereditary_max_n: int = 6
     cd_max_n: int = 6
 
     def as_dict(self) -> dict:
@@ -126,7 +134,6 @@ class SuiteConfig:
             "interval_cases": self.interval_cases,
             "separation_samples": self.separation_samples,
             "dm_max_n": self.dm_max_n,
-            "hereditary_max_n": self.hereditary_max_n,
             "cd_max_n": self.cd_max_n,
         }
 
@@ -307,13 +314,11 @@ def _claim_thm2(cfg: SuiteConfig) -> _Check:
         check.run(f"C{n}: not completely distributive", is_completely_distributive(chain_poset(n)))
     notes = []
     for name, P in (("M3", m3_poset()), ("N5", n5_poset())):
-        check.run(f"{name}: unexpectedly completely distributive", not is_completely_distributive(P))
-        for x in range(P.n):
-            approx = way_way_below_set(P, x)
-            s = P.sup_mask(P.as_mask(approx))
-            if s != x:
-                notes.append(f"{name}: element {x} has approximating set {sorted(approx)} with sup {s}")
-                break
+        x = distributivity_failure(P)
+        check.run(f"{name}: unexpectedly completely distributive", x is not None)
+        if x is not None:
+            approx, s = _approximation(P, x)
+            notes.append(f"{name}: element {x} has approximating set {approx} with sup {s}")
     check.note = "; ".join(notes)
     return check
 
@@ -357,11 +362,7 @@ def _claim_prop4(cfg: SuiteConfig) -> _Check:
         T = canonical_topology(P, "intrinsic")
         check.run(f"C{n}: intrinsic not a pospace", is_pospace(P, T))
         check.run(f"C{n}: intrinsic not a topological lattice", is_topological_lattice(P, T))
-        minimal = T.minimal
-        hausdorff = all(
-            not minimal[x] & minimal[y] for x in range(n) for y in range(x + 1, n)
-        )
-        check.run(f"C{n}: intrinsic not Hausdorff", hausdorff)
+        check.run(f"C{n}: intrinsic not Hausdorff", separation_report(T).hausdorff)
     C2 = chain_poset(2)
     check.run(
         "negative control: C2 with upper topology claims to be a pospace",
@@ -447,7 +448,7 @@ def _claim_cor6(cfg: SuiteConfig) -> _Check:
 
 def _claim_thm7(cfg: SuiteConfig) -> _Check:
     check = _Check("thm7")
-    for n in range(cfg.min_n, min(cfg.hereditary_max_n, cfg.max_n) + 1):
+    for n in _sizes(cfg):
         P = chain_poset(n)
         rep = separation_report(canonical_topology(P, "intrinsic"))
         check.run(
@@ -738,74 +739,49 @@ def _random_poset(rng: random.Random, min_n: int, max_n: int) -> FinitePoset:
     return build_poset(n, pairs, "hasse-covers")
 
 
-def _cd_witness(P: FinitePoset) -> str | None:
-    for x in range(P.n):
-        approx = way_way_below_set(P, x)
-        s = P.sup_mask(P.as_mask(approx))
-        if s != x:
-            return f"element {x}: approximating set {sorted(approx)} has supremum {s}"
-    return None
+def _approximation(P: FinitePoset, x: int) -> tuple[list[int], int | None]:
+    """The elements way-way-below x and their supremum."""
+    approx = way_way_below_set(P, x)
+    return sorted(approx), P.sup_mask(P.as_mask(approx))
 
 
-def _pospace_witness(P: FinitePoset) -> str | None:
-    T = canonical_topology(P, "upper")
-    minimal = T.minimal
-    for x in range(P.n):
-        for y in range(P.n):
-            if P.leq(x, y):
-                continue
-            if any(P.up[a] & minimal[y] for a in elements(minimal[x])):
-                return f"pair ({x},{y}) has no open rectangle avoiding the order"
-    return None
+_NON_CHAIN_TARGETS = ("completely_distributive_fails", "conditional_completeness_fails")
 
 
-def _cc_witness(P: FinitePoset) -> str | None:
-    for mask in range(1, 1 << P.n):
-        if P.upper_bounds_mask(mask) and P.sup_mask(mask) is None:
+def _target_witness(target: str, P: FinitePoset) -> str | None:
+    """The failure a search target looks for, described, or None."""
+    if target == "completely_distributive_fails":
+        x = distributivity_failure(P)
+        if x is not None:
+            approx, s = _approximation(P, x)
+            return f"element {x}: approximating set {approx} has supremum {s}"
+    elif target == "pospace_fails_for_upper":
+        pair = pospace_failure(P, canonical_topology(P, "upper"))
+        if pair is not None:
+            return f"pair ({pair[0]},{pair[1]}) has no open rectangle avoiding the order"
+    elif target == "conditional_completeness_fails":
+        mask = conditional_completeness_failure(P)
+        if mask is not None:
             return f"bounded subset {sorted(as_set(mask))} has no supremum"
+    else:
+        T = canonical_topology(P, "upper")
+        pair = normality_failure(T)
+        if pair is not None:
+            a, b = (sorted(as_set(T.closure_mask(1 << p))) for p in pair)
+            return f"closed sets {a} and {b} admit no disjoint open neighbourhoods in the upper topology"
     return None
-
-
-def _normality_witness(P: FinitePoset) -> str | None:
-    T = canonical_topology(P, "upper")
-    minimal = T.minimal
-    closed = [T.full & ~u for u in T.opens]
-    for a in closed:
-        for b in closed:
-            if a & b or not a or not b:
-                continue
-            hull_a = 0
-            for x in elements(a):
-                hull_a |= minimal[x]
-            hull_b = 0
-            for x in elements(b):
-                hull_b |= minimal[x]
-            if hull_a & hull_b:
-                return (
-                    f"closed sets {sorted(as_set(a))} and {sorted(as_set(b))} "
-                    "admit no disjoint open neighbourhoods in the upper topology"
-                )
-    return None
-
-
-_TARGET_TESTS = {
-    "completely_distributive_fails": (_cd_witness, True),
-    "pospace_fails_for_upper": (_pospace_witness, False),
-    "conditional_completeness_fails": (_cc_witness, True),
-    "normality_fails_for_topology": (_normality_witness, False),
-}
 
 
 def find_counterexample(cfg: SearchConfig):
     """Search seeded random posets for a target failure; None if the
     budget runs out."""
-    test, needs_non_chain = _TARGET_TESTS[cfg.target]
+    needs_non_chain = cfg.target in _NON_CHAIN_TARGETS
     rng = random.Random(f"search:{cfg.seed}:{cfg.target}")
     for attempt in range(1, cfg.max_instances + 1):
         P = _random_poset(rng, cfg.min_n, cfg.max_n)
         if needs_non_chain and P.is_chain:
             continue
-        witness = test(P)
+        witness = _target_witness(cfg.target, P)
         if witness is not None:
             return Found(P, witness, attempt)
     return None

@@ -9,14 +9,16 @@ open family is derived from the U_x only when it is asked for (the
 dump format, whole-family iteration).  The Scott topology is still
 built from its directed-supremum definition and then reduced to U_x.
 The separation and continuity checks use that an open set exists
-around A avoiding B iff the least one does.  Products stay capped at
-PRODUCT_CARRIER_CAP points; hereditary normality walks all 2^n
-subspaces and is capped at HEREDITARY_CAP.
+around A avoiding B iff the least one does, the union of the U_x over
+A; so normality and complete (hereditary) normality reduce to pairs of
+points and cost O(n^2) at any size.  Each property check has one
+kernel that returns a failing point, pair or subset, or None.
+Products stay capped at PRODUCT_CARRIER_CAP points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -30,7 +32,6 @@ from .errors import (
 )
 from .poset import FinitePoset
 
-HEREDITARY_CAP = 8
 PRODUCT_CARRIER_CAP = 10
 
 CANONICAL_NAMES = (
@@ -192,7 +193,8 @@ def canonical_topology(P: FinitePoset, name: str) -> Topology:
     filters; scott comes from the directed-supremum definition; the
     interval family is the join of upper and lower; order and
     open_interval are ray-generated; lawson variants join scott with the
-    opposite ray topology.
+    opposite ray topology.  intrinsic and interval name one
+    construction; both names stay because the CLI exposes them.
     """
     if name == "upper":
         return _upper_topology(P)
@@ -272,30 +274,6 @@ def product_topology(T1: Topology, T2: Topology) -> Topology:
     return Topology(n * m, minimal)
 
 
-def _normal_over(points: tuple[int, ...], closed: list[int], minimal: dict[int, int]) -> bool:
-    """Normality given explicit closed sets and least neighbourhoods.
-
-    Disjoint closed sets have disjoint open neighbourhoods iff their
-    least open hulls are disjoint, because every open superset contains
-    the least one.
-    """
-    for i, a in enumerate(closed):
-        for b in closed[i + 1 :]:
-            if a & b:
-                continue
-            hull_a = 0
-            for x in points:
-                if a >> x & 1:
-                    hull_a |= minimal[x]
-            hull_b = 0
-            for x in points:
-                if b >> x & 1:
-                    hull_b |= minimal[x]
-            if hull_a & hull_b:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     t1: bool
@@ -304,33 +282,54 @@ class SeparationReport:
     completely_normal: bool
 
     def as_dict(self) -> dict:
-        return {
-            "t1": self.t1,
-            "hausdorff": self.hausdorff,
-            "normal": self.normal,
-            "completely_normal": self.completely_normal,
-        }
+        return asdict(self)
 
 
-def _relative_normal(T: Topology, space: int) -> bool:
-    """Normality of the subspace on ``space`` without reindexing."""
-    points = elements(space)
-    minimal = {x: T.minimal[x] & space for x in points}
-    closed = [space & ~u for u in {u & space for u in T.opens}]
-    return _normal_over(points, closed, minimal)
+def normality_failure(T: Topology) -> Optional[tuple[int, int]]:
+    """Points a < b with disjoint closures whose least neighbourhoods
+    meet, so that cl{a} and cl{b} have no disjoint open neighbourhoods;
+    None when T is normal.
+
+    If disjoint closed sets A and B cannot be separated, their least
+    open neighbourhoods, the unions of the U_x over A and over B, meet:
+    U_a meets U_b for some a in A and b in B, and cl{a}, cl{b} lie
+    inside A and B, so they are disjoint.
+    """
+    closures = [T.closure_mask(1 << a) for a in range(T.n)]
+    for a in range(T.n):
+        for b in range(a + 1, T.n):
+            if not closures[a] & closures[b] and T.minimal[a] & T.minimal[b]:
+                return a, b
+    return None
 
 
-def separation_report(T: Topology, hereditary_cap: int = HEREDITARY_CAP) -> SeparationReport:
+def complete_normality_failure(T: Topology) -> Optional[tuple[int, int]]:
+    """Points a < b, neither in the other's least neighbourhood, whose
+    least neighbourhoods meet, or None when T is completely normal,
+    that is, hereditarily normal (Engelking, General Topology, 2.1.7).
+
+    Two sets are separated iff a lies outside U_b and b outside U_a for
+    every a in one and b in the other, and their least open
+    neighbourhoods are the unions of those U_a and U_b.
+    """
+    minimal = T.minimal
+    for a in range(T.n):
+        for b in range(a + 1, T.n):
+            separated = not minimal[a] >> b & 1 and not minimal[b] >> a & 1
+            if separated and minimal[a] & minimal[b]:
+                return a, b
+    return None
+
+
+def separation_report(T: Topology) -> SeparationReport:
     """T1, Hausdorff, normality, and normality of every subspace."""
-    if T.n > hereditary_cap:
-        raise CapExceeded(T.n, hereditary_cap)
     t1 = all(T.is_closed_mask(1 << x) for x in range(T.n))
     minimal = T.minimal
     hausdorff = all(
         not minimal[x] & minimal[y] for x in range(T.n) for y in range(x + 1, T.n)
     )
-    normal = _relative_normal(T, T.full)
-    completely_normal = all(_relative_normal(T, s) for s in range(1 << T.n))
+    normal = normality_failure(T) is None
+    completely_normal = complete_normality_failure(T) is None
     if hausdorff and not t1:
         raise AssertionError("hausdorff space failed the t1 check")
     if completely_normal and not normal:
@@ -338,12 +337,13 @@ def separation_report(T: Topology, hereditary_cap: int = HEREDITARY_CAP) -> Sepa
     return SeparationReport(t1, hausdorff, normal, completely_normal)
 
 
-def is_pospace(P: FinitePoset, T: Topology) -> bool:
-    """Whether the order relation is closed in the product topology.
+def pospace_failure(P: FinitePoset, T: Topology) -> Optional[tuple[int, int]]:
+    """A pair x <=/ y in the closure of the order relation in the product
+    topology, or None when the relation is closed.
 
-    A pair x <=/ y lies in the complement; the least open rectangle
-    around it is the product of the least neighbourhoods, so closedness
-    reduces to those rectangles avoiding the relation.
+    The least open rectangle around (x, y) is the product of the least
+    neighbourhoods, so closedness reduces to those rectangles avoiding
+    the relation.
     """
     if P.n != T.n:
         raise CarrierMismatch(f"poset carrier {P.n} differs from topology carrier {T.n}")
@@ -354,8 +354,13 @@ def is_pospace(P: FinitePoset, T: Topology) -> bool:
                 continue
             u, v = minimal[x], minimal[y]
             if any(P.up[a] & v for a in elements(u)):
-                return False
-    return True
+                return x, y
+    return None
+
+
+def is_pospace(P: FinitePoset, T: Topology) -> bool:
+    """Whether the order relation is closed in the product topology."""
+    return pospace_failure(P, T) is None
 
 
 def _pairwise_op_table(P: FinitePoset, kind: str) -> Optional[list[list[int]]]:

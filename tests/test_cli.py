@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from chaintop.cli import main
+from chaintop.topology import CANONICAL_NAMES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -96,6 +97,25 @@ def test_topo_report(capsys, c3_file):
         "normal": True,
         "completely_normal": True,
     }
+
+
+def test_topo_report_on_a_16_point_chain(capsys, tmp_path):
+    chain16 = tmp_path / "c16.json"
+    chain16.write_text(json.dumps({"n": 16, "pairs": [[i, i + 1] for i in range(15)]}))
+    for name in CANONICAL_NAMES:
+        code, out, err = run_cli(capsys, "topo", "report", str(chain16), name)
+        assert code == 0 and err == "", name
+        # the ray topologies of a chain are not T1; every other name is discrete
+        discrete = name not in ("upper", "lower", "scott", "dual_scott")
+        assert json.loads(out) == {
+            "t1": discrete, "hausdorff": discrete, "normal": True, "completely_normal": True,
+        }, name
+
+
+def test_topo_report_rejects_the_removed_hereditary_cap(capsys, c3_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["topo", "report", c3_file, "intrinsic", "--hereditary-cap", "8"])
+    assert exc.value.code == 2
 
 
 def test_waybelow(capsys, c3_file):

@@ -124,3 +124,31 @@ def test_separating_schema_errors():
     for depth in ("10", 2.5, True, None):
         with pytest.raises(SchemaError):
             separating_from_dict(rat, {"cuts": [], "depth": depth})
+
+
+_CERT = {"kind": "gap", "lo": "1/2", "hi": "3/4", "lo_value": "0", "hi_value": "1"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"cuts": [], "certificates": [1]},
+        {"cuts": [], "certificates": {}},
+        {"cuts": [], "default": "x"},
+        {"cuts": [], "default": "1/0"},
+        {"cuts": [], "complemented": "no"},
+        {"cuts": [], "certificates": [{**_CERT, "lo_value": "x"}]},
+        {"cuts": [], "certificates": [{**_CERT, "hi_value": "1/0"}]},
+        {"cuts": [], "certificates": [{**_CERT, "lo": "zebra"}]},
+        {"cuts": [], "certificates": [{**_CERT, "witness": 5}]},
+    ],
+)
+def test_separating_malformed_fields_raise_schema_errors(doc):
+    with pytest.raises(SchemaError):
+        separating_from_dict(make_chain("rat01"), doc)
+
+
+def test_separating_certificate_fields_are_read():
+    f = separating_from_dict(make_chain("rat01"), {"cuts": [], "certificates": [{**_CERT, "witness": "5/8"}]})
+    assert f.certificates[0].witness == Fraction(5, 8)
+    assert f.default == 1 and f.complemented is False

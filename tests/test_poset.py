@@ -147,7 +147,7 @@ def test_classify_antichain():
     c = classify(antichain_poset(2))
     assert not c.is_chain
     assert not c.complete
-    assert not c.up_complete
+    assert c.up_complete
     assert c.conditionally_complete
 
 

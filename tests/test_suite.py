@@ -24,7 +24,6 @@ SMALL = SuiteConfig(
     interval_cases=20,
     separation_samples=40,
     dm_max_n=4,
-    hereditary_max_n=4,
     cd_max_n=4,
 )
 

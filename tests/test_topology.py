@@ -216,8 +216,17 @@ def test_separation_reports():
     assert not rep.t1 and not rep.hausdorff
     rep = separation_report(indiscrete_topology(2))
     assert rep.normal and not rep.t1
-    with pytest.raises(CapExceeded):
-        separation_report(discrete_topology(9))
+
+
+def test_separation_reports_at_the_poset_cap():
+    # no cap: normality and complete normality are checked pointwise
+    C16 = chain_poset(16)
+    for T in (discrete_topology(16), canonical_topology(C16, "intrinsic")):
+        assert separation_report(T).as_dict() == dict.fromkeys(
+            ("t1", "hausdorff", "normal", "completely_normal"), True
+        )
+    rep = separation_report(canonical_topology(C16, "upper"))
+    assert (rep.t1, rep.hausdorff, rep.normal, rep.completely_normal) == (False, False, True, True)
 
 
 def test_v_poset_upper_topology_not_normal():

@@ -1,26 +1,43 @@
 """Differential tests: topologies stored as least neighbourhoods U_x
 against the family-closure construction, which materializes every open
-set by closing a seed family under pairwise union and intersection."""
+set by closing a seed family under pairwise union and intersection;
+the pointwise separation checks against the subspace-by-subspace
+definition of (hereditary) normality; and every failure witness against
+the definition of its property."""
 
+import itertools
 import random
 
 import pytest
 
 from chaintop import (
     CANONICAL_NAMES,
+    AxiomViolation,
+    NotATopology,
     Topology,
     antichain_poset,
     build_poset,
     canonical_topology,
     chain_poset,
+    classify,
     generate_topology,
     has_order_convex_basis,
     join_topologies,
     product_topology,
+    separation_report,
     subspace_topology,
+    way_way_below_set,
 )
 from chaintop.bitsets import elements, full_mask, mask_of
-from chaintop.topology import PRODUCT_CARRIER_CAP, is_order_convex_mask
+from chaintop.poset import conditional_completeness_failure
+from chaintop.relations import distributivity_failure
+from chaintop.topology import (
+    PRODUCT_CARRIER_CAP,
+    complete_normality_failure,
+    is_order_convex_mask,
+    normality_failure,
+    pospace_failure,
+)
 
 
 def close_family(n, seed):
@@ -194,3 +211,155 @@ def test_canonical_topologies_build_at_the_poset_cap(chain16, name):
     assert T.n == 16
     if name not in ("upper", "lower", "scott", "dual_scott"):
         assert T.minimal == tuple(1 << x for x in range(16))
+
+
+def all_topologies(n):
+    """Every topology on n labelled points, one per valid U_x vector."""
+    choices = [[u | 1 << x for u in range(1 << n) if not u >> x & 1] for x in range(n)]
+    out = []
+    for minimal in itertools.product(*choices):
+        try:
+            out.append(Topology(n, minimal))
+        except NotATopology:
+            pass
+    return out
+
+
+def all_posets(n):
+    """Every partial order on n labelled points."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    out = []
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        try:
+            out.append(build_poset(n, [p for p, c in zip(pairs, chosen) if c], "full"))
+        except AxiomViolation:
+            pass
+    return out
+
+
+SMALL_TOPOLOGIES = [T for n in range(5) for T in all_topologies(n)]
+POSETS8 = random_posets(24, 8, seed=23) + [chain_poset(8), antichain_poset(8)]
+
+
+def least_open(T, mask):
+    """The intersection of every open set containing the mask."""
+    out = T.full
+    for u in T.opens:
+        if not mask & ~u:
+            out &= u
+    return out
+
+
+def closure(T, mask):
+    """The intersection of every closed set containing the mask."""
+    out = T.full
+    for u in T.opens:
+        if not u & mask:
+            out &= ~u
+    return out
+
+
+def normal_on(T, space):
+    """The subspace on ``space`` is normal: every two disjoint closed sets
+    of it have disjoint least open sets around them there."""
+    opens = {u & space for u in T.opens}
+    hulls = {}
+    for a in {space & ~u for u in opens}:
+        h = space
+        for u in opens:
+            if not a & ~u:
+                h &= u
+        hulls[a] = h
+    closed = list(hulls)
+    return all(
+        a & b or not hulls[a] & hulls[b]
+        for i, a in enumerate(closed)
+        for b in closed[i + 1 :]
+    )
+
+
+def separation_by_definition(T):
+    return {
+        "normal": normal_on(T, T.full),
+        "completely_normal": all(normal_on(T, s) for s in range(1 << T.n)),
+    }
+
+
+def test_there_are_390_topologies_on_at_most_4_points():
+    assert [sum(1 for T in SMALL_TOPOLOGIES if T.n == n) for n in range(5)] == [1, 1, 4, 29, 355]
+
+
+def test_pointwise_normality_matches_every_subspace_on_small_carriers():
+    for T in SMALL_TOPOLOGIES:
+        rep = separation_report(T).as_dict()
+        assert {k: rep[k] for k in ("normal", "completely_normal")} == separation_by_definition(T), T
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_pointwise_normality_matches_every_subspace_on_8_points(name):
+    for P in POSETS8:
+        T = canonical_topology(P, name)
+        rep = separation_report(T).as_dict()
+        assert {k: rep[k] for k in ("normal", "completely_normal")} == separation_by_definition(T), P.up
+
+
+def test_normality_witnesses_are_genuine():
+    for T in SMALL_TOPOLOGIES + [canonical_topology(P, "upper") for P in POSETS8]:
+        pair = normality_failure(T)
+        if pair is not None:
+            a, b = (closure(T, 1 << p) for p in pair)
+            assert not a & b and least_open(T, a) & least_open(T, b), (T, pair)
+        pair = complete_normality_failure(T)
+        if pair is not None:
+            a, b = pair
+            assert not closure(T, 1 << a) >> b & 1 and not closure(T, 1 << b) >> a & 1, (T, pair)
+            assert least_open(T, 1 << a) & least_open(T, 1 << b), (T, pair)
+
+
+def test_pospace_witnesses_are_genuine():
+    # the order must be closed in the materialized product topology
+    for n in range(4):
+        for P in all_posets(n):
+            graph = mask_of(x * n + y for x in range(n) for y in range(n) if P.leq(x, y))
+            for T in all_topologies(n):
+                hull = product_topology(T, T).closure_mask(graph)
+                pair = pospace_failure(P, T)
+                if pair is None:
+                    assert hull == graph
+                else:
+                    x, y = pair
+                    assert not P.leq(x, y) and hull >> (x * n + y) & 1
+
+
+def test_distributivity_witnesses_are_genuine():
+    for P in POSETS:
+        sups = [P.sup_mask(P.as_mask(way_way_below_set(P, x))) for x in range(P.n)]
+        fails = [x for x in range(P.n) if sups[x] != x]
+        assert distributivity_failure(P) == (fails[0] if fails else None), P.up
+
+
+def test_conditional_completeness_witnesses_are_genuine():
+    for P in POSETS:
+        mask = conditional_completeness_failure(P)
+        bounded = [m for m in range(1, 1 << P.n) if P.upper_bounds_mask(m)]
+        if mask is None:
+            assert all(P.sup_mask(m) is not None for m in bounded), P.up
+        else:
+            ubs = [u for u in range(P.n) if all(P.leq(s, u) for s in elements(mask))]
+            assert ubs and not any(all(P.leq(u, v) for v in ubs) for u in ubs), P.up
+            assert all(P.sup_mask(m) is not None for m in bounded if m < mask), P.up
+
+
+def test_classify_matches_the_subset_quantified_flags():
+    for P in random_posets(60, 7, seed=29):
+        complete = all(P.sup_mask(m) is not None for m in range(1 << P.n))
+        conditionally_complete = all(
+            P.sup_mask(m) is not None for m in range(1, 1 << P.n) if P.upper_bounds_mask(m)
+        )
+        up_complete = all(
+            P.sup_mask(m) is not None for m in range(1, 1 << P.n) if P.is_directed_mask(m)
+        )
+        c = classify(P)
+        assert (c.complete, c.conditionally_complete, c.up_complete) == (
+            complete, conditionally_complete, up_complete
+        ), P.up
