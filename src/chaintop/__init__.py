@@ -2,10 +2,12 @@
 decidable infinite chains.
 
 Finite posets, their canonical topologies, and all order-theoretic
-relations are computed exactly by exhaustive kernels over bitmask set
-families; a catalog of decidable infinite chains (integers, dyadics,
-rationals, the naturals plus a top, a split rational line) carries the
-behaviour finite models cannot show.  The suite module binds every
+relations are computed exactly: by closed forms where finiteness gives
+one, with the brute-force definitions kept in `definitions` as their
+oracles, and by exhaustive kernels over bitmask set families elsewhere.
+A catalog of decidable infinite chains (integers, dyadics, rationals,
+the naturals plus a top, a split rational line) carries the behaviour
+finite models cannot show.  The suite module binds every
 supported claim to an executable check.
 """
 
@@ -24,6 +26,7 @@ from .chains import (
     infinite_catalog,
     make_chain,
 )
+from .definitions import is_continuous_poset
 from .errors import (
     AxiomViolation,
     CapExceeded,
@@ -88,12 +91,12 @@ from .relations import (
     corollary3_report,
     hyper_prec,
     is_completely_distributive,
-    is_continuous_poset,
     is_hypercontinuous,
     theorem2_dichotomy,
     way_below,
     way_below_report,
     way_way_below,
+    way_way_below_row,
     way_way_below_set,
 )
 from .separating import (

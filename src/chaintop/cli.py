@@ -65,6 +65,13 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
+def _parse_index(text: str) -> int:
+    text = text.strip()
+    if not text.isdecimal():
+        raise ParseError(f"expected an element index, got {text!r}")
+    return int(text)
+
+
 def _parse_indices(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -138,7 +145,7 @@ def _cmd_waybelow(args) -> int:
         _emit(chain_way_below(C, x, y))
     else:
         P, _ = _load_poset_arg(args.poset)
-        x, y = int(args.x), int(args.y)
+        x, y = _parse_index(args.x), _parse_index(args.y)
         result = way_way_below(P, x, y) if args.www else way_below(P, x, y)
         _emit(result)
     return 0
@@ -268,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("waybelow", help="way-below queries")
     sp.add_argument("x")
     sp.add_argument("y")
-    sp.add_argument("--poset", help="poset file for the brute-force oracle")
-    sp.add_argument("--chain", help="catalog chain spec, e.g. rat01")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poset", help="poset file; way-below on a finite poset is the order")
+    source.add_argument("--chain", help="catalog chain spec, e.g. rat01")
     sp.add_argument("--www", action="store_true", help="way-way-below (arbitrary subsets)")
     sp.set_defaults(func=_cmd_waybelow)
 
@@ -300,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("decompose", help="order-convex decomposition")
-    sp.add_argument("--chain", help="catalog chain spec")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--chain", help="catalog chain spec")
+    source.add_argument("--poset", help="poset file (finite case)")
     sp.add_argument("--intervals", default="", help='interval list, e.g. "[1,3],[4,6]"')
-    sp.add_argument("--poset", help="poset file (finite case)")
     sp.add_argument("--name", default="intrinsic", choices=CANONICAL_NAMES)
     sp.add_argument("--set", default="", help="open set as comma-separated indices")
     sp.set_defaults(func=_cmd_decompose)

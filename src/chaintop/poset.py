@@ -310,12 +310,28 @@ def classify(P: FinitePoset) -> PosetClassification:
 
 
 def maximal_chains(P: FinitePoset) -> list[frozenset[int]]:
-    """All inclusion-maximal totally ordered subsets."""
-    chains = [m for m in range(1, 1 << P.n) if P.is_chain_mask(m)]
+    """All inclusion-maximal totally ordered subsets, sorted by their
+    sorted elements.
+
+    A maximal chain of a finite poset starts at a minimal element, steps
+    along cover relations (nothing fits between two neighbours) and ends
+    at a maximal element, and every such path is a maximal chain; a
+    depth-first search lists the paths.
+    """
+    covers = []
+    for x in range(P.n):
+        above = P.strict_up(x)
+        for z in elements(above):
+            above &= ~P.strict_up(z)
+        covers.append(above)
     out = []
-    for m in chains:
-        if not any(c != m and c & m == m for c in chains):
-            out.append(as_set(m))
+    stack = [(x, 1 << x) for x in range(P.n) if P.down[x] == 1 << x]
+    while stack:
+        x, chain = stack.pop()
+        if covers[x]:
+            stack.extend((y, chain | 1 << y) for y in elements(covers[x]))
+        else:
+            out.append(as_set(chain))
     out.sort(key=sorted)
     return out
 

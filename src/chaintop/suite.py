@@ -2,10 +2,13 @@
 seeded counterexample search over random posets.
 
 Every claim runs deterministically from the config seed and reports the
-instances it exercised together with any failure witnesses.  Fault
-injection corrupts one kernel at a time (scott constructor, way-below
-oracle, interval normalization) so the suite can prove its own
-sensitivity.
+instances it exercised together with any failure witnesses.  The claims
+about coincidences that are forced on finite posets (prop5, remark-dm,
+lemma1, thm2, cor3) compute the Scott topology and way-below from their
+definitions in `definitions`, not from the library's closed forms, so
+that they do not compare a closed form with itself.  Fault injection
+corrupts one kernel at a time (scott definition, way-below definition,
+interval normalization) so the suite can prove its own sensitivity.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import definitions
 from .bitsets import as_set
 from .chains import ChainHandle, FiniteChain, OMEGA, make_chain
 from .errors import ChainTopError, CoverageGap, UnknownTarget
@@ -40,12 +44,13 @@ from .poset import (
     dm_closure,
 )
 from .relations import (
+    EXHAUSTIVE_CAP,
+    _finite_chain_report,
     chain_way_below,
     distributivity_failure,
     is_completely_distributive,
     is_hypercontinuous,
     corollary3_report,
-    way_below,
     way_way_below_set,
 )
 from .separating import separate_from_lower, verify_separating
@@ -210,12 +215,12 @@ def _rng(cfg: SuiteConfig, label: str) -> random.Random:
 
 def _scott(P: FinitePoset, faults) -> Topology:
     if "scott" in faults:
-        return canonical_topology(P, "dual_scott")
-    return canonical_topology(P, "scott")
+        return definitions.scott_topology(P.dual)
+    return definitions.scott_topology(P)
 
 
 def _way_below(P: FinitePoset, x: int, y: int, faults) -> bool:
-    result = way_below(P, x, y)
+    result = definitions.way_below(P, x, y)
     if "way-below" in faults and x == y:
         return not result
     return result
@@ -336,7 +341,7 @@ def _claim_cor3(cfg: SuiteConfig) -> _Check:
     check = _Check("cor3")
     for n in _sizes(cfg):
         try:
-            rep = corollary3_report(chain_poset(n))
+            rep = _finite_chain_report(chain_poset(n), EXHAUSTIVE_CAP, definitions.way_below)
         except AssertionError as exc:
             check.run(f"C{n}: {exc}", False)
             continue
@@ -701,7 +706,10 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
         try:
             check = _CLAIM_FUNCTIONS[claim](cfg)
         except ChainTopError as exc:
-            raise exc.__class__(f"[{claim}] {exc}") from exc
+            # prefix the message in place: not every error class can be
+            # rebuilt from a message alone
+            exc.args = (f"[{claim}] {exc}",)
+            raise
         if check.instances == 0:
             raise CoverageGap(f"claim {claim} ran zero instances")
         records.append(check.record())

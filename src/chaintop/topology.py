@@ -6,8 +6,10 @@ topology is stored as the bitmask vector of its U_x, validated on
 construction in O(n^2), so topology equality is equality of the
 vectors; generation, joins, subspaces and products are pointwise.  The
 open family is derived from the U_x only when it is asked for (the
-dump format, whole-family iteration).  The Scott topology is still
-built from its directed-supremum definition and then reduced to U_x.
+dump format, whole-family iteration).  On a finite poset the Scott
+topology is the Alexandrov topology of upper sets, U_x = up-set of x,
+since a finite directed set contains its supremum; its definition is
+kept in `definitions` as the oracle.
 The separation and continuity checks use that an open set exists
 around A avoiding B iff the least one does, the union of the U_x over
 A; so normality and complete (hereditary) normality reduce to pairs of
@@ -172,25 +174,14 @@ def _is_upper_mask(P: FinitePoset, mask: int) -> bool:
     return True
 
 
-def _scott_topology(P: FinitePoset) -> Topology:
-    """Scott opens from the definition: upper sets that meet every
-    directed set whose supremum they contain.  Nothing is assumed about
-    the result coinciding with any other family."""
-    dirs = P.directed_with_sup
-    opens = []
-    for mask in range(1 << P.n):
-        if not _is_upper_mask(P, mask):
-            continue
-        if all(s_mask & mask for s_mask, s in dirs if mask >> s & 1):
-            opens.append(mask)
-    return Topology.from_opens(P.n, opens)
-
-
 def canonical_topology(P: FinitePoset, name: str) -> Topology:
     """One of the named topologies attached to a poset.
 
     upper/lower are generated by complements of principal ideals and
-    filters; scott comes from the directed-supremum definition; the
+    filters; scott has the up-set of each point as its least
+    neighbourhood and dual_scott the down-set, which is the
+    directed-supremum definition on a finite poset
+    (`definitions.scott_topology` computes that definition); the
     interval family is the join of upper and lower; order and
     open_interval are ray-generated; lawson variants join scott with the
     opposite ray topology.  intrinsic and interval name one
@@ -201,9 +192,9 @@ def canonical_topology(P: FinitePoset, name: str) -> Topology:
     if name == "lower":
         return _lower_topology(P)
     if name == "scott":
-        return _scott_topology(P)
+        return Topology(P.n, P.up)
     if name == "dual_scott":
-        return _scott_topology(P.dual)
+        return Topology(P.n, P.down)
     if name in ("intrinsic", "interval"):
         return join_topologies(_upper_topology(P), _lower_topology(P))
     if name == "order":
@@ -216,11 +207,11 @@ def canonical_topology(P: FinitePoset, name: str) -> Topology:
         ]
         return generate_topology(P.n, rays)
     if name == "lawson":
-        return join_topologies(_scott_topology(P), _lower_topology(P))
+        return join_topologies(Topology(P.n, P.up), _lower_topology(P))
     if name == "dual_lawson":
-        return join_topologies(_scott_topology(P.dual), _upper_topology(P))
+        return join_topologies(Topology(P.n, P.down), _upper_topology(P))
     if name == "bi_scott":
-        return join_topologies(_scott_topology(P), _scott_topology(P.dual))
+        return join_topologies(Topology(P.n, P.up), Topology(P.n, P.down))
     raise ValueError(f"unknown topology name {name!r}, expected one of {CANONICAL_NAMES}")
 
 

@@ -37,10 +37,10 @@ from chaintop import (
     scott_closure,
     separation_report,
     topology_equal,
-    way_below,
     way_way_below_set,
     xu_condition,
 )
+from chaintop import definitions
 from chaintop.bitsets import as_set, mask_of
 from chaintop.intervals import _mergeable
 from chaintop.suite import (
@@ -76,7 +76,7 @@ def test_criterion_1_lemma1(default_report):
         C = FiniteChain(n)
         for x in range(n):
             for y in range(n):
-                wb = way_below(P, x, y)
+                wb = definitions.way_below(P, x, y)
                 if P.lt(x, y):
                     ok = ok and wb
                 if wb:
@@ -132,8 +132,8 @@ def test_criterion_4_prop5_topology_coincidences():
         P = chain_poset(n)
         upper = canonical_topology(P, "upper")
         lower = canonical_topology(P, "lower")
-        scott = canonical_topology(P, "scott")  # from the directed-sup definition
-        dual_scott = canonical_topology(P, "dual_scott")
+        scott = definitions.scott_topology(P)  # from the directed-sup definition
+        dual_scott = definitions.scott_topology(P.dual)
         ok = ok and topology_equal(upper, scott)
         ok = ok and topology_equal(lower, dual_scott)
         intrinsic = canonical_topology(P, "intrinsic")

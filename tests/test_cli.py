@@ -127,6 +127,35 @@ def test_waybelow(capsys, c3_file):
     assert json.loads(out) is True
 
 
+def test_waybelow_bad_poset_index_exits_2(capsys, c3_file):
+    code, out, err = run_cli(capsys, "waybelow", "a", "1", "--poset", c3_file)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("waybelow", "0", "1"),
+        ("decompose", "--set", "0"),
+        ("waybelow", "1/2", "1/2", "--chain", "rat01", "--poset", "{c3}"),
+        ("decompose", "--chain", "int", "--poset", "{c3}", "--set", "0"),
+    ],
+)
+def test_waybelow_and_decompose_take_exactly_one_of_poset_and_chain(capsys, c3_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(c3=c3_file) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: " in captured.err and "--poset" in captured.err
+
+
+def test_suite_error_keeps_the_claim_prefix_and_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "suite", "run", "--min-n", "17", "--max-n", "17", "--claims", "prop5", "--json"
+    )
+    assert (code, out, err) == (2, "", "error: [prop5] size 17 exceeds exhaustive cap 16\n")
+
+
 def test_suite_run(capsys):
     code, out, err = run_cli(
         capsys, "suite", "run", "--claims", "cor6,prop5", "--max-n", "4", "--seed", "1"

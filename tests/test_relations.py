@@ -17,7 +17,6 @@ from chaintop import (
     corollary3_report,
     hyper_prec,
     is_completely_distributive,
-    is_continuous_poset,
     is_hypercontinuous,
     make_chain,
     theorem2_dichotomy,
@@ -26,6 +25,7 @@ from chaintop import (
     way_way_below,
     way_way_below_set,
 )
+from chaintop import definitions
 from chaintop.suite import m3_poset, n5_poset
 
 
@@ -73,7 +73,7 @@ def test_way_below_equals_order_on_finite_posets():
     for P in (chain_poset(5), m3_poset(), n5_poset(), antichain_poset(3)):
         for x in range(P.n):
             for y in range(P.n):
-                assert way_below(P, x, y) == P.leq(x, y)
+                assert definitions.way_below(P, x, y) == P.leq(x, y)
 
 
 def test_way_below_report_invariants():
@@ -97,7 +97,7 @@ def test_chain_way_below_agrees_with_oracle_on_finite_chains():
         C = FiniteChain(n)
         for x in range(n):
             for y in range(n):
-                assert chain_way_below(C, x, y) == way_below(P, x, y)
+                assert chain_way_below(C, x, y) == definitions.way_below(P, x, y)
 
 
 def test_theorem2_examples():
@@ -132,8 +132,8 @@ def test_way_way_below_implies_way_below():
     for P in (chain_poset(5), m3_poset(), n5_poset()):
         for x in range(P.n):
             for y in range(P.n):
-                if way_way_below(P, x, y):
-                    assert way_below(P, x, y)
+                if definitions.way_way_below(P, x, y):
+                    assert definitions.way_below(P, x, y)
 
 
 def test_completely_distributive():
@@ -150,15 +150,15 @@ def test_completely_distributive_witnesses():
 
 
 def test_continuous_poset():
-    assert is_continuous_poset(chain_poset(4))
-    assert is_continuous_poset(m3_poset())
-    assert is_continuous_poset(n5_poset())
+    assert definitions.is_continuous_poset(chain_poset(4))
+    assert definitions.is_continuous_poset(m3_poset())
+    assert definitions.is_continuous_poset(n5_poset())
     # every poset on up to 3 points is continuous
     for pairs in itertools.chain.from_iterable(
         itertools.combinations([(0, 1), (0, 2), (1, 2)], r) for r in range(4)
     ):
         P = build_poset(3, list(pairs), "hasse-covers")
-        assert is_continuous_poset(P)
+        assert definitions.is_continuous_poset(P)
 
 
 def test_hyper_prec():

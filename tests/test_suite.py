@@ -1,7 +1,10 @@
 import pytest
 
+from chaintop import suite
 from chaintop import (
     CLAIM_IDS,
+    AxiomViolation,
+    CapExceeded,
     CoverageGap,
     FAULT_KERNELS,
     SEARCH_TARGETS,
@@ -69,6 +72,22 @@ def test_unknown_claim_and_chain():
         run_suite(SuiteConfig(claims=("lemma9000",)))
     with pytest.raises(UnknownTarget):
         run_suite(SuiteConfig(chains=("reals",)))
+
+
+def test_claim_errors_keep_their_class_and_fields_under_the_claim_prefix(monkeypatch):
+    with pytest.raises(CapExceeded) as exc:
+        run_suite(SuiteConfig(min_n=17, max_n=17, claims=("prop5",)))
+    assert (exc.value.n, exc.value.cap) == (17, 16)
+    assert str(exc.value) == "[prop5] size 17 exceeds exhaustive cap 16"
+
+    def broken(cfg):
+        raise AxiomViolation("transitive", (0, 2))
+
+    monkeypatch.setitem(suite._CLAIM_FUNCTIONS, "xu", broken)
+    with pytest.raises(AxiomViolation) as exc:
+        run_suite(SuiteConfig(claims=("xu",)))
+    assert (exc.value.axiom, exc.value.witness) == ("transitive", (0, 2))
+    assert str(exc.value) == "[xu] transitive violated at (0, 2)"
 
 
 def test_record_lookup():

@@ -28,6 +28,7 @@ from chaintop import (
     subspace_topology,
     way_way_below_set,
 )
+from chaintop import definitions
 from chaintop.bitsets import elements, full_mask, mask_of
 from chaintop.poset import conditional_completeness_failure
 from chaintop.relations import distributivity_failure
@@ -68,13 +69,7 @@ def is_closed_family(n, fam):
 
 def scott_family(P):
     """Upper sets meeting every directed set whose supremum they contain."""
-    dirs = P.directed_with_sup
-    return frozenset(
-        mask
-        for mask in range(1 << P.n)
-        if all(not P.up[x] & ~mask for x in elements(mask))
-        and all(s_mask & mask for s_mask, s in dirs if mask >> s & 1)
-    )
+    return definitions.scott_topology(P).opens
 
 
 def family_topology(P, name):
@@ -202,7 +197,7 @@ def test_least_neighbourhood_vector_is_validated():
 
 @pytest.fixture(scope="module")
 def chain16():
-    return chain_poset(16)  # the poset cap; shared so its directed sets are listed once
+    return chain_poset(16)  # the poset cap
 
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)
