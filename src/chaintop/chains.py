@@ -4,6 +4,12 @@ Each handle answers order, gap, and local-structure queries exactly; the
 infinite entries encode their structure (successors, density, extremes)
 directly instead of enumerating elements.  Elements are exact integers,
 `fractions.Fraction` values, pairs, or the `OMEGA` sentinel; no floats.
+
+Every catalog chain is countable, so it embeds in the exact rationals or
+in tuples of them ordered lexicographically: `key(x)` is that embedding,
+a value Python orders natively.  Elements are validated once, where they
+enter the library (`validate`, `parse`, and the public queries); library
+code that holds validated elements compares them by key.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import (
     MalformedElement,
@@ -75,10 +80,6 @@ class ChainHandle(ABC):
         """Return the canonical form of x, or raise MalformedElement."""
 
     @abstractmethod
-    def _compare(self, x, y) -> int:
-        ...
-
-    @abstractmethod
     def _predecessor(self, x):
         ...
 
@@ -110,14 +111,20 @@ class ChainHandle(ABC):
     def format(self, x) -> str:
         ...
 
+    def key(self, x):
+        """The order key of a validated element: an exact value (a number,
+        or a tuple of numbers) whose native order is the chain's order."""
+        return x
+
     def compare(self, x, y) -> int:
         """Total-order comparison: -1, 0, or 1."""
-        return self._compare(self.validate(x), self.validate(y))
+        kx, ky = self.key(self.validate(x)), self.key(self.validate(y))
+        return (kx > ky) - (kx < ky)
 
     def between(self, a, b):
         """An element strictly between a and b, or None when (a, b) is a gap."""
         a, b = self.validate(a), self.validate(b)
-        if self._compare(a, b) >= 0:
+        if self.key(a) >= self.key(b):
             raise NotStrictlyOrdered(f"{self.format(a)} is not strictly below {self.format(b)}")
         return self._between(a, b)
 
@@ -137,7 +144,7 @@ class ChainHandle(ABC):
         x = self.validate(x)
         pred = self._predecessor(x)
         succ = self._successor(x)
-        is_least = self.has_least and self._compare(x, self.least()) == 0
+        is_least = self.has_least and self.key(x) == self.key(self.least())
         sup_of_downset = not is_least and pred is None
         return LocalStructure(
             has_immediate_pred=pred is not None,
@@ -154,11 +161,8 @@ class ChainHandle(ABC):
             raise SampleTooLarge(f"sample size {k} must be at least 1")
         rng = random.Random(f"{self.id}:{seed}")
         out = self._sample(rng, k)
-        out.sort(key=cmp_to_key(self._compare))
+        out.sort(key=self.key)
         return out
-
-    def sort_key(self):
-        return cmp_to_key(self.compare)
 
     def __repr__(self):
         return f"<chain {self.id}>"
@@ -190,9 +194,6 @@ class FiniteChain(ChainHandle):
         if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < self.n:
             raise MalformedElement(f"{x!r} is not an element of {self.id}")
         return x
-
-    def _compare(self, x, y):
-        return (x > y) - (x < y)
 
     def _predecessor(self, x):
         return x - 1 if x > 0 else None
@@ -243,9 +244,6 @@ class IntegerChain(ChainHandle):
             raise MalformedElement(f"{x!r} is not an integer")
         return x
 
-    def _compare(self, x, y):
-        return (x > y) - (x < y)
-
     def _predecessor(self, x):
         return x - 1
 
@@ -284,9 +282,6 @@ class _UnitFractionChain(ChainHandle):
     declared_conditionally_complete = False
     only_least_compact = True
     only_greatest_compact = True
-
-    def _compare(self, x, y):
-        return (x > y) - (x < y)
 
     def _predecessor(self, x):
         return None
@@ -383,12 +378,8 @@ class OmegaPlusOneChain(ChainHandle):
             raise MalformedElement(f"{x!r} is not a natural number or omega")
         return x
 
-    def _compare(self, x, y):
-        if x is OMEGA:
-            return 0 if y is OMEGA else 1
-        if y is OMEGA:
-            return -1
-        return (x > y) - (x < y)
+    def key(self, x):
+        return (1, 0) if x is OMEGA else (0, x)
 
     def _predecessor(self, x):
         if x is OMEGA:
@@ -452,11 +443,6 @@ class SplitChain(ChainHandle):
         if isinstance(i, bool) or i not in (0, 1):
             raise MalformedElement(f"{x!r} has side {i!r}, expected 0 or 1")
         return (Fraction(q), i)
-
-    def _compare(self, x, y):
-        if x[0] != y[0]:
-            return -1 if x[0] < y[0] else 1
-        return (x[1] > y[1]) - (x[1] < y[1])
 
     def _predecessor(self, x):
         q, i = x
@@ -522,8 +508,9 @@ class ReversedChain(ChainHandle):
     def validate(self, x):
         return self.base.validate(x)
 
-    def _compare(self, x, y):
-        return -self.base._compare(x, y)
+    def key(self, x):
+        k = self.base.key(x)
+        return tuple(-c for c in k) if isinstance(k, tuple) else -k
 
     def _predecessor(self, x):
         return self.base._successor(x)

@@ -9,7 +9,6 @@ because catalog chains may lack extremes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -103,23 +102,25 @@ class IntervalSet:
         return interval_member(self, x)
 
 
-def _cmp_points(chain: ChainHandle, a, b) -> int:
-    if a is NEG_INF or b is POS_INF:
-        return 0 if a is b else -1
-    if a is POS_INF or b is NEG_INF:
-        return 0 if a is b else 1
-    return chain.compare(a, b)
+def _point_key(chain: ChainHandle, e):
+    """The order key of a validated endpoint; the infinities bracket
+    every element."""
+    if e is NEG_INF:
+        return (-1,)
+    if e is POS_INF:
+        return (1,)
+    return (0, chain.key(e))
 
 
 def interval_member(IS: IntervalSet, x) -> bool:
     """Whether x satisfies some interval's endpoint constraints."""
-    x = IS.chain.validate(x)
+    kx = _point_key(IS.chain, IS.chain.validate(x))
     for iv in IS.intervals:
-        lo = _cmp_points(IS.chain, iv.lower, x)
-        if lo > 0 or (lo == 0 and iv.lower_open):
+        lo = _point_key(IS.chain, iv.lower)
+        if lo > kx or (lo == kx and iv.lower_open):
             continue
-        hi = _cmp_points(IS.chain, x, iv.upper)
-        if hi > 0 or (hi == 0 and iv.upper_open):
+        hi = _point_key(IS.chain, iv.upper)
+        if kx > hi or (kx == hi and iv.upper_open):
             continue
         return True
     return False
@@ -143,27 +144,14 @@ def _canonical_interval(chain: ChainHandle, iv: Interval) -> Optional[Interval]:
             hi, hi_open = pred, False
     if lo is NEG_INF or hi is POS_INF:
         return Interval(lo, lo_open, hi, hi_open)
-    c = chain.compare(lo, hi)
-    if c > 0:
+    klo, khi = chain.key(lo), chain.key(hi)
+    if klo > khi:
         return None
-    if c == 0:
+    if klo == khi:
         return None if lo_open or hi_open else Interval(lo, False, hi, False)
     if lo_open and hi_open and chain.between(lo, hi) is None:
         return None
     return Interval(lo, lo_open, hi, hi_open)
-
-
-def _upper_pair_max(chain, e1, o1, e2, o2):
-    if e1 is POS_INF:
-        return e1, o1
-    if e2 is POS_INF:
-        return e2, o2
-    c = chain.compare(e1, e2)
-    if c > 0:
-        return e1, o1
-    if c < 0:
-        return e2, o2
-    return e1, o1 and o2
 
 
 def _mergeable(chain: ChainHandle, left: Interval, right: Interval) -> bool:
@@ -171,10 +159,10 @@ def _mergeable(chain: ChainHandle, left: Interval, right: Interval) -> bool:
     union: they overlap, touch with a closed side, or sit across a gap."""
     if left.upper is POS_INF or right.lower is NEG_INF:
         return True
-    c = chain.compare(left.upper, right.lower)
-    if c > 0:
+    kup, klo = chain.key(left.upper), chain.key(right.lower)
+    if kup > klo:
         return True
-    if c == 0:
+    if kup == klo:
         return not (left.upper_open and right.lower_open)
     if not left.upper_open and not right.lower_open:
         return chain.between(left.upper, right.lower) is None
@@ -182,20 +170,14 @@ def _mergeable(chain: ChainHandle, left: Interval, right: Interval) -> bool:
 
 
 def _merge(chain: ChainHandle, left: Interval, right: Interval) -> Interval:
-    hi, hi_open = _upper_pair_max(
-        chain, left.upper, left.upper_open, right.upper, right.upper_open
-    )
-    return Interval(left.lower, left.lower_open, hi, hi_open)
+    # the higher upper end wins; at a tie the closed end does
+    top = max(left, right, key=lambda iv: (_point_key(chain, iv.upper), not iv.upper_open))
+    return Interval(left.lower, left.lower_open, top.upper, top.upper_open)
 
 
 def _start_key(chain: ChainHandle):
-    def cmp(i1: Interval, i2: Interval) -> int:
-        c = _cmp_points(chain, i1.lower, i2.lower)
-        if c:
-            return c
-        return (i1.lower_open > i2.lower_open) - (i1.lower_open < i2.lower_open)
-
-    return functools.cmp_to_key(cmp)
+    """Sort key of intervals by lower end, a closed end first."""
+    return lambda iv: (_point_key(chain, iv.lower), iv.lower_open)
 
 
 def normalize(IS: IntervalSet) -> IntervalSet:

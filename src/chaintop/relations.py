@@ -11,7 +11,7 @@ decided through local structure (gaps, predecessors, extremes)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bitsets import as_set, elements
 from .chains import ChainHandle, FiniteChain
@@ -211,12 +211,7 @@ class Corollary3Report:
             raise AssertionError("density plus conditional completeness must force agreement")
 
     def as_dict(self) -> dict:
-        return {
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "order_dense": self.order_dense,
-            "conditionally_complete": self.conditionally_complete,
-        }
+        return asdict(self)
 
 
 def _finite_chain_report(P: FinitePoset, cap: int, ll=way_below) -> Corollary3Report:

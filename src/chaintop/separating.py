@@ -8,13 +8,17 @@ configurable depth and certifies each residual jump (of size 2^-depth)
 with the density witness that allows refining it further.  Every jump
 therefore carries a machine-checkable certificate instead of an
 unverifiable claim about infinitely many open sets.
+
+A function validates its cut thresholds and certificate elements when
+it is built, and each argument once when it is called; from there on
+every comparison is by the chain's order key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .chains import ChainHandle, FiniteChain, ReversedChain
 from .errors import CapExceeded, ChainTopError, NotClosed, NotLowerSet, PointInsideA
@@ -72,21 +76,31 @@ class SeparatingFunction:
     certificates: tuple[JumpCertificate, ...] = ()
     complemented: bool = False
 
+    def __post_init__(self):
+        v = self.chain.validate
+        cuts = tuple(Cut(v(c.threshold), c.side, c.value) for c in self.cuts)
+        certs = tuple(
+            JumpCertificate(
+                c.kind, v(c.lo), v(c.hi), c.lo_value, c.hi_value,
+                None if c.witness is None else v(c.witness),
+            )
+            for c in self.certificates
+        )
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "certificates", certs)
+
     def raw_value(self, y) -> Fraction:
-        y = self.chain.validate(y)
-        cuts = self.cuts
-        # cut conditions are monotone along the ascending threshold list,
-        # so the first matching cut can be found by bisection
-        lo, hi = 0, len(cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cut = cuts[mid]
-            c = self.chain.compare(y, cut.threshold)
-            if c < 0 or (c == 0 and cut.side == BELOW_OR_EQUAL):
-                hi = mid
-            else:
-                lo = mid + 1
-        return cuts[lo].value if lo < len(cuts) else self.default
+        key = self.chain.key
+        # a cut matches y when y < threshold, or y == threshold on a
+        # below-or-equal cut: exactly when (key(threshold), below-or-equal)
+        # >= (key(y), True).  That is monotone along the ascending
+        # threshold list, so the first matching cut is found by bisection
+        i = bisect_left(
+            self.cuts,
+            (key(self.chain.validate(y)), True),
+            key=lambda cut: (key(cut.threshold), cut.side == BELOW_OR_EQUAL),
+        )
+        return self.cuts[i].value if i < len(self.cuts) else self.default
 
     def __call__(self, y) -> Fraction:
         v = self.raw_value(y)
@@ -109,7 +123,7 @@ def _lower_set_boundary(chain: ChainHandle, A: IntervalSet):
     covers_bottom = iv.lower is NEG_INF or (
         chain.has_least
         and not iv.lower_open
-        and chain.compare(iv.lower, chain.least()) == 0
+        and chain.key(iv.lower) == chain.key(chain.least())
     )
     if not covers_bottom:
         raise NotLowerSet("the component does not reach the bottom of the chain")
@@ -150,22 +164,23 @@ def separate_from_lower(
         return SeparatingFunction(C, step, depth=depth, certificates=cert)
     cuts: list[Cut] = []
     certs: list[JumpCertificate] = []
-
-    def build(lo, hi, vlo: Fraction, vhi: Fraction, budget: int) -> None:
+    # an explicit stack: a self-calling closure would be a reference
+    # cycle that keeps both lists alive until a full collection
+    stack = [(b, x, Fraction(0), Fraction(1), depth)]
+    while stack:
+        lo, hi, vlo, vhi, budget = stack.pop()
         mid = C.between(lo, hi)
         if mid is None:
             cuts.append(Cut(lo, BELOW_OR_EQUAL, vlo))
             certs.append(JumpCertificate("gap", lo, hi, vlo, vhi))
-            return
-        if budget == 0:
+        elif budget == 0:
             cuts.append(Cut(hi, STRICTLY_BELOW, vlo))
             certs.append(JumpCertificate("density", lo, hi, vlo, vhi, witness=mid))
-            return
-        vmid = (vlo + vhi) / 2
-        build(lo, mid, vlo, vmid, budget - 1)
-        build(mid, hi, vmid, vhi, budget - 1)
-
-    build(b, x, Fraction(0), Fraction(1), depth)
+        else:
+            vmid = (vlo + vhi) / 2
+            # the right half goes on first, so the left half's cuts come first
+            stack.append((mid, hi, vmid, vhi, budget - 1))
+            stack.append((lo, mid, vlo, vmid, budget - 1))
     return SeparatingFunction(C, tuple(cuts), depth=depth, certificates=tuple(certs))
 
 
@@ -207,12 +222,7 @@ class VerificationReport:
         return self.monotone_ok and self.zero_on_A_ok and self.one_at_x_ok and self.continuity_ok
 
     def as_dict(self) -> dict:
-        return {
-            "monotone_ok": self.monotone_ok,
-            "zero_on_A_ok": self.zero_on_A_ok,
-            "one_at_x_ok": self.one_at_x_ok,
-            "continuity_ok": self.continuity_ok,
-        }
+        return asdict(self)
 
 
 def _finite_continuity(C: FiniteChain, f: SeparatingFunction) -> bool:
@@ -241,8 +251,9 @@ def _certified_continuity(C: ChainHandle, f: SeparatingFunction) -> bool:
     if len(f.certificates) != jumps:
         return False
     tolerance = Fraction(1, 2**f.depth)
+    key = C.key
     for cert in f.certificates:
-        if C.compare(cert.lo, cert.hi) >= 0:
+        if key(cert.lo) >= key(cert.hi):
             return False
         if f.raw_value(cert.lo) != cert.lo_value or f.raw_value(cert.hi) != cert.hi_value:
             return False
@@ -253,7 +264,7 @@ def _certified_continuity(C: ChainHandle, f: SeparatingFunction) -> bool:
             w = cert.witness
             if w is None:
                 return False
-            if not (C.compare(cert.lo, w) < 0 < C.compare(cert.hi, w)):
+            if not key(cert.lo) < key(w) < key(cert.hi):
                 return False
             if cert.hi_value - cert.lo_value > tolerance:
                 return False
@@ -288,11 +299,11 @@ def verify_separating(
     if norm.intervals and norm.intervals[0].upper is not POS_INF:
         if not norm.intervals[0].upper_open:
             pts.append(norm.intervals[0].upper)
-    pts.sort(key=cmp_to_key(C._compare))
+    pts.sort(key=C.key)
     values = [f(p) for p in pts]
     monotone_ok = all(a <= b for a, b in zip(values, values[1:]))
     zero_on_A_ok = all(
-        f(p) == 0 for p in pts if interval_member(norm, p)
+        v == 0 for p, v in zip(pts, values) if interval_member(norm, p)
     )
     one_at_x_ok = f(x) == 1
     if isinstance(C, FiniteChain):

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from . import definitions
 from .bitsets import as_set
 from .chains import ChainHandle, FiniteChain, OMEGA, make_chain
-from .errors import ChainTopError, CoverageGap, UnknownTarget
+from .errors import CapExceeded, ChainTopError, CoverageGap, UnknownTarget
 from .intervals import (
     Interval,
     IntervalSet,
@@ -69,21 +69,6 @@ from .topology import (
     xu_condition,
 )
 
-CLAIM_IDS = (
-    "cor3",
-    "cor6",
-    "lemma1",
-    "prop4",
-    "prop5",
-    "remark-dm",
-    "thm2",
-    "thm7",
-    "thm8-1",
-    "thm8-2",
-    "thm9",
-    "xu",
-)
-
 FAULT_KERNELS = ("scott", "way-below", "normalize")
 
 SEARCH_TARGETS = (
@@ -112,38 +97,6 @@ def v_poset() -> FinitePoset:
 
 
 @dataclass(frozen=True)
-class SuiteConfig:
-    min_n: int = 1
-    max_n: int = 7
-    seed: int = 0
-    chains: tuple[str, ...] = INFINITE_CHAIN_IDS
-    claims: tuple[str, ...] = CLAIM_IDS
-    faults: tuple[str, ...] = ()
-    sample_pairs: int = 200
-    sample_elements: int = 100
-    interval_cases: int = 120
-    separation_samples: int = 200
-    dm_max_n: int = 6
-    cd_max_n: int = 6
-
-    def as_dict(self) -> dict:
-        return {
-            "min_n": self.min_n,
-            "max_n": self.max_n,
-            "seed": self.seed,
-            "chains": list(self.chains),
-            "claims": list(self.claims),
-            "faults": list(self.faults),
-            "sample_pairs": self.sample_pairs,
-            "sample_elements": self.sample_elements,
-            "interval_cases": self.interval_cases,
-            "separation_samples": self.separation_samples,
-            "dm_max_n": self.dm_max_n,
-            "cd_max_n": self.cd_max_n,
-        }
-
-
-@dataclass(frozen=True)
 class ClaimRecord:
     claim: str
     instances: int
@@ -152,13 +105,7 @@ class ClaimRecord:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instances": self.instances,
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -692,6 +639,27 @@ _CLAIM_FUNCTIONS = {
     "xu": _claim_xu,
 }
 
+CLAIM_IDS = tuple(_CLAIM_FUNCTIONS)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    min_n: int = 1
+    max_n: int = 7
+    seed: int = 0
+    chains: tuple[str, ...] = INFINITE_CHAIN_IDS
+    claims: tuple[str, ...] = CLAIM_IDS
+    faults: tuple[str, ...] = ()
+    sample_pairs: int = 200
+    sample_elements: int = 100
+    interval_cases: int = 120
+    separation_samples: int = 200
+    dm_max_n: int = 6
+    cd_max_n: int = 6
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run the selected claims; deterministic for a fixed config."""
@@ -701,6 +669,12 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     unknown_chains = [c for c in cfg.chains if c not in INFINITE_CHAIN_IDS]
     if unknown_chains:
         raise UnknownTarget(f"unknown chain ids {unknown_chains}")
+    # the size range is checked before any claim runs, not when a claim
+    # first reaches a bad size
+    if not 1 <= cfg.min_n <= cfg.max_n:
+        raise CoverageGap(f"size range {cfg.min_n}..{cfg.max_n} is empty or starts below 1")
+    if cfg.max_n > EXHAUSTIVE_CAP:
+        raise CapExceeded(cfg.max_n, EXHAUSTIVE_CAP)
     records = []
     for claim in sorted(set(cfg.claims)):
         try:

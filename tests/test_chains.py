@@ -198,6 +198,25 @@ def test_reversed_chain():
     assert ReversedChain(make_chain("rat01")).only_least_compact
 
 
+@pytest.mark.parametrize("cid", ALL_IDS)
+def test_reversed_compare_swaps_the_arguments(cid):
+    C = make_chain(cid)
+    rev, back = ReversedChain(C), ReversedChain(ReversedChain(C))
+    pts = C.sample(5, 4 if cid == "finite:4" else 12)
+    for x in pts:
+        for y in pts:
+            assert rev.compare(x, y) == C.compare(y, x)
+            assert back.compare(x, y) == C.compare(x, y)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("cid", ALL_IDS)
+def test_sample_is_strictly_increasing_by_key(cid, reverse):
+    C = ReversedChain(make_chain(cid)) if reverse else make_chain(cid)
+    keys = [C.key(p) for p in C.sample(11, 4 if cid == "finite:4" else 16)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_reversed_sample_sorted_descending_in_base():
     rev = ReversedChain(make_chain("int"))
     pts = rev.sample(4, 10)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from chaintop import suite
 from chaintop.cli import main
+from chaintop.errors import CapExceeded
 from chaintop.topology import CANONICAL_NAMES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -149,11 +151,30 @@ def test_waybelow_and_decompose_take_exactly_one_of_poset_and_chain(capsys, c3_f
     assert "error: " in captured.err and "--poset" in captured.err
 
 
-def test_suite_error_keeps_the_claim_prefix_and_exits_2(capsys):
-    code, out, err = run_cli(
-        capsys, "suite", "run", "--min-n", "17", "--max-n", "17", "--claims", "prop5", "--json"
-    )
+def test_suite_error_keeps_the_claim_prefix_and_exits_2(capsys, monkeypatch):
+    def capped(cfg):
+        raise CapExceeded(17, 16)
+
+    monkeypatch.setitem(suite._CLAIM_FUNCTIONS, "prop5", capped)
+    code, out, err = run_cli(capsys, "suite", "run", "--max-n", "3", "--claims", "prop5", "--json")
     assert (code, out, err) == (2, "", "error: [prop5] size 17 exceeds exhaustive cap 16\n")
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (("--min-n", "17", "--max-n", "17"), "size 17 exceeds exhaustive cap 16"),
+        (("--max-n", "17"), "size 17 exceeds exhaustive cap 16"),
+        (("--min-n", "0"), "size range 0..7 is empty or starts below 1"),
+    ],
+)
+def test_suite_size_range_fails_before_any_claim_runs(capsys, monkeypatch, sizes, message):
+    def never(cfg):
+        raise AssertionError("a claim ran")
+
+    monkeypatch.setitem(suite._CLAIM_FUNCTIONS, "prop5", never)
+    code, out, err = run_cli(capsys, "suite", "run", *sizes, "--claims", "prop5", "--json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_suite_run(capsys):

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,24 +7,32 @@ import pytest
 from chaintop import (
     CapExceeded,
     ChainTopError,
+    Cut,
     FiniteChain,
     Interval,
     IntervalSet,
+    JumpCertificate,
+    MalformedElement,
     NEG_INF,
     NotClosed,
     NotLowerSet,
     OMEGA,
     PointInsideA,
+    SeparatingFunction,
+    above,
     below,
+    chain_way_below,
     closed_interval,
     evaluate,
+    interval_member,
     make_chain,
     reverse_interval_set,
     separate_from_lower,
     separate_from_upper,
     verify_separating,
 )
-from chaintop.separating import DEFAULT_DEPTH, DEPTH_CAP
+from chaintop.separating import BELOW_OR_EQUAL, DEFAULT_DEPTH, DEPTH_CAP
+from chaintop.suite import _separation_matrix
 
 RAT = make_chain("rat01")
 
@@ -193,3 +202,96 @@ def test_depth_is_checked_against_its_range():
     assert DEPTH_CAP >= DEFAULT_DEPTH
     f = separate_from_lower(RAT, A, Fraction(3, 4), depth=0)
     assert [c.kind for c in f.certificates] == ["density"]
+
+
+def test_staircase_leaves_no_cyclic_garbage():
+    A = IntervalSet(RAT, (below(Fraction(1, 2)),))
+    gc.collect()
+    gc.disable()
+    try:
+        f = separate_from_lower(RAT, A, Fraction(3, 4))
+        del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _first_matching_cut(f: SeparatingFunction, y):
+    """Oracle for `raw_value`: a linear scan for the first matching cut."""
+    for cut in f.cuts:
+        c = f.chain.compare(y, cut.threshold)
+        if c < 0 or (c == 0 and cut.side == BELOW_OR_EQUAL):
+            return cut.value
+    return f.default
+
+
+def _separations(depth):
+    """Each staircase of the suite's separation matrix, with the points
+    that matter to it, and its dual: the boundary separated from the
+    closed upper set above the point."""
+    for cid, boundary, x in _separation_matrix():
+        C = make_chain(cid)
+        A = IntervalSet(C, () if boundary is None else (below(boundary),))
+        yield C, separate_from_lower(C, A, x, depth), [x] if boundary is None else [boundary, x]
+        if boundary is not None:
+            up = IntervalSet(C, (above(x),))
+            yield C, separate_from_upper(C, up, boundary, depth), [boundary, x]
+
+
+def test_raw_value_matches_the_linear_scan_on_every_probe():
+    # depth 6, not the default 10: the oracle is quadratic in the cuts
+    checked = 0
+    for C, f, points in _separations(6):
+        probes = list(points) + (list(range(C.n)) if isinstance(C, FiniteChain) else C.sample(4, 40))
+        for cut in f.cuts:
+            probes.append(cut.threshold)
+        for cert in f.certificates:
+            probes.extend(p for p in (cert.lo, cert.hi, cert.witness) if p is not None)
+        for y in probes:
+            assert f.raw_value(y) == _first_matching_cut(f, y), (C.id, y)
+        checked += len(probes)
+    assert checked > 1000
+
+
+_OUTSIDE = {
+    "finite:4": 4,
+    "int": Fraction(1, 2),
+    "dyadic01": Fraction(1, 3),
+    "rat01": Fraction(3, 2),
+    "omega+1": -1,
+    "split": (Fraction(1, 2), 2),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_OUTSIDE))
+def test_every_entry_point_rejects_an_element_outside_the_chain(cid):
+    C = make_chain(cid)
+    good, bad = C.least() if C.has_least else C.sample(0, 1)[0], _OUTSIDE[cid]
+    empty = IntervalSet(C, ())
+    f = SeparatingFunction(C, ())
+    zero, one = Fraction(0), Fraction(1)
+    calls = [
+        lambda: C.compare(good, bad),
+        lambda: C.compare(bad, good),
+        lambda: C.between(good, bad),
+        lambda: C.predecessor(bad),
+        lambda: C.successor(bad),
+        lambda: C.local_structure(bad),
+        lambda: C.format(bad),
+        lambda: IntervalSet(C, (closed_interval(good, bad),)),
+        lambda: interval_member(empty, bad),
+        lambda: SeparatingFunction(C, (Cut(bad, BELOW_OR_EQUAL, zero),)),
+        lambda: SeparatingFunction(C, (), certificates=(JumpCertificate("gap", bad, good, zero, one),)),
+        lambda: SeparatingFunction(C, (), certificates=(JumpCertificate("gap", good, bad, zero, one),)),
+        lambda: SeparatingFunction(
+            C, (), certificates=(JumpCertificate("density", good, good, zero, one, bad),)
+        ),
+        lambda: f(bad),
+        lambda: separate_from_lower(C, empty, bad),
+        lambda: verify_separating(C, f, empty, bad),
+        lambda: chain_way_below(C, good, bad),
+        lambda: chain_way_below(C, bad, good),
+    ]
+    for call in calls:
+        with pytest.raises(MalformedElement):
+            call()

@@ -75,8 +75,12 @@ def test_unknown_claim_and_chain():
 
 
 def test_claim_errors_keep_their_class_and_fields_under_the_claim_prefix(monkeypatch):
+    def capped(cfg):
+        raise CapExceeded(17, 16)
+
+    monkeypatch.setitem(suite._CLAIM_FUNCTIONS, "prop5", capped)
     with pytest.raises(CapExceeded) as exc:
-        run_suite(SuiteConfig(min_n=17, max_n=17, claims=("prop5",)))
+        run_suite(SuiteConfig(max_n=3, claims=("prop5",)))
     assert (exc.value.n, exc.value.cap) == (17, 16)
     assert str(exc.value) == "[prop5] size 17 exceeds exhaustive cap 16"
 
@@ -170,6 +174,20 @@ def test_search_config_validation():
 
 
 def test_coverage_guard_rejects_empty_claims():
-    # an empty size range leaves the chain-only claims with no instances
+    # an empty size range would leave the chain-only claims with no instances
     with pytest.raises(CoverageGap):
         run_suite(SuiteConfig(min_n=5, max_n=4, chains=(), claims=("cor6",)))
+
+
+@pytest.mark.parametrize(
+    "min_n, max_n, error",
+    [(0, 7, CoverageGap), (-2, 3, CoverageGap), (17, 17, CapExceeded), (1, 17, CapExceeded)],
+)
+def test_size_range_is_checked_before_any_claim_runs(monkeypatch, min_n, max_n, error):
+    def never(cfg):
+        raise AssertionError("a claim ran")
+
+    for claim in CLAIM_IDS:
+        monkeypatch.setitem(suite._CLAIM_FUNCTIONS, claim, never)
+    with pytest.raises(error):
+        run_suite(SuiteConfig(min_n=min_n, max_n=max_n))
