@@ -27,6 +27,10 @@ from .errors import (
 )
 from .poset import FinitePoset, chain_poset
 
+# the most elements one `sample` call draws; its cost and memory grow
+# linearly in the count
+SAMPLE_CAP = 10_000
+
 
 class _Omega:
     """Top element adjoined to the naturals."""
@@ -159,6 +163,8 @@ class ChainHandle(ABC):
         """k distinct elements, sorted ascending, deterministic per seed."""
         if k < 1:
             raise SampleTooLarge(f"sample size {k} must be at least 1")
+        if k > SAMPLE_CAP:
+            raise SampleTooLarge(f"sample size {k} exceeds the cap of {SAMPLE_CAP}")
         rng = random.Random(f"{self.id}:{seed}")
         out = self._sample(rng, k)
         out.sort(key=self.key)
@@ -320,7 +326,9 @@ class DyadicUnitChain(_UnitFractionChain):
         d = x.denominator
         if d & (d - 1):
             raise MalformedElement(f"{x} has a non-dyadic denominator")
-        if not 0 <= x <= 1:
+        # a Fraction's denominator is positive, so this is 0 <= x <= 1 in
+        # integers alone
+        if not 0 <= x.numerator <= x.denominator:
             raise MalformedElement(f"{x} lies outside [0,1]")
         return x
 
@@ -346,7 +354,9 @@ class RationalUnitChain(_UnitFractionChain):
             x = Fraction(x)
         if not isinstance(x, Fraction):
             raise MalformedElement(f"{x!r} is not a rational")
-        if not 0 <= x <= 1:
+        # a Fraction's denominator is positive, so this is 0 <= x <= 1 in
+        # integers alone
+        if not 0 <= x.numerator <= x.denominator:
             raise MalformedElement(f"{x} lies outside [0,1]")
         return x
 

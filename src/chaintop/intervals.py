@@ -5,6 +5,10 @@ Canonicalization is gap-aware: two intervals merge exactly when nothing
 of the chain lies strictly between them, which is where completeness of
 the chain starts to matter.  Unbounded rays carry symbolic infinities
 because catalog chains may lack extremes.
+
+An interval set validates its endpoints when it is built and keeps their
+order keys beside them, so membership validates the point once and then
+compares keys only.
 """
 
 from __future__ import annotations
@@ -97,6 +101,13 @@ class IntervalSet:
             hi = iv.upper if iv.upper is POS_INF else self.chain.validate(iv.upper)
             fixed.append(Interval(lo, iv.lower_open, hi, iv.upper_open))
         object.__setattr__(self, "intervals", tuple(fixed))
+        # a plain attribute, not a field: equality, repr and asdict see
+        # only the intervals, and `replace` rebuilds it with them
+        object.__setattr__(self, "_bounds", tuple(
+            (_point_key(self.chain, iv.lower), iv.lower_open,
+             _point_key(self.chain, iv.upper), iv.upper_open)
+            for iv in fixed
+        ))
 
     def member(self, x) -> bool:
         return interval_member(self, x)
@@ -115,12 +126,10 @@ def _point_key(chain: ChainHandle, e):
 def interval_member(IS: IntervalSet, x) -> bool:
     """Whether x satisfies some interval's endpoint constraints."""
     kx = _point_key(IS.chain, IS.chain.validate(x))
-    for iv in IS.intervals:
-        lo = _point_key(IS.chain, iv.lower)
-        if lo > kx or (lo == kx and iv.lower_open):
+    for lo, lower_open, hi, upper_open in IS._bounds:
+        if lo > kx or (lo == kx and lower_open):
             continue
-        hi = _point_key(IS.chain, iv.upper)
-        if kx > hi or (kx == hi and iv.upper_open):
+        if kx > hi or (kx == hi and upper_open):
             continue
         return True
     return False

@@ -10,8 +10,10 @@ therefore carries a machine-checkable certificate instead of an
 unverifiable claim about infinitely many open sets.
 
 A function validates its cut thresholds and certificate elements when
-it is built, and each argument once when it is called; from there on
-every comparison is by the chain's order key.
+it is built and keeps each cut's order key, and it validates each
+argument once when it is called; from there on every comparison is by
+the chain's order key.  One point is found among the cuts by bisection;
+many points are sorted once and walked together with the cuts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .chains import ChainHandle, FiniteChain, ReversedChain
-from .errors import CapExceeded, ChainTopError, NotClosed, NotLowerSet, PointInsideA
+from .errors import (
+    CapExceeded,
+    ChainTopError,
+    MalformedElement,
+    NotClosed,
+    NotLowerSet,
+    NotStrictlyOrdered,
+    PointInsideA,
+)
 from .intervals import (
     NEG_INF,
     POS_INF,
@@ -63,8 +73,9 @@ class JumpCertificate:
 class SeparatingFunction:
     """Piecewise-constant monotone map into [0,1].
 
-    Evaluation walks the cuts in ascending threshold order and returns
-    the value of the first matching cut, defaulting to 1 beyond them.
+    The cuts ascend strictly by threshold, a strictly-below cut before a
+    below-or-equal one at the same threshold.  Evaluation returns the
+    value of the first matching cut, defaulting to 1 beyond them.
     ``complemented`` flips values through 1 - v, which turns a monotone
     function on a reversed chain into an antitone one on the original.
     """
@@ -78,6 +89,10 @@ class SeparatingFunction:
 
     def __post_init__(self):
         v = self.chain.validate
+        key = self.chain.key
+        for c in self.cuts:
+            if c.side not in (BELOW_OR_EQUAL, STRICTLY_BELOW):
+                raise MalformedElement(f"unknown cut side {c.side!r}")
         cuts = tuple(Cut(v(c.threshold), c.side, c.value) for c in self.cuts)
         certs = tuple(
             JumpCertificate(
@@ -86,21 +101,44 @@ class SeparatingFunction:
             )
             for c in self.certificates
         )
+        # a cut matches y when y < threshold, or y == threshold on a
+        # below-or-equal cut: exactly when its key (key(threshold),
+        # below-or-equal) >= (key(y), True).  Strictly ascending keys make
+        # that monotone along the cuts, so the first matching cut is the
+        # first key at or above y's.  A plain attribute, not a field:
+        # `replace` rebuilds it with the cuts.
+        cut_keys = [(key(c.threshold), c.side == BELOW_OR_EQUAL) for c in cuts]
+        for a, b in zip(cut_keys, cut_keys[1:]):
+            if not a < b:
+                raise NotStrictlyOrdered("cuts must ascend strictly by threshold and side")
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "certificates", certs)
+        object.__setattr__(self, "_cut_keys", cut_keys)
+
+    def _value_at(self, i: int) -> Fraction:
+        return self.cuts[i].value if i < len(self.cuts) else self.default
 
     def raw_value(self, y) -> Fraction:
-        key = self.chain.key
-        # a cut matches y when y < threshold, or y == threshold on a
-        # below-or-equal cut: exactly when (key(threshold), below-or-equal)
-        # >= (key(y), True).  That is monotone along the ascending
-        # threshold list, so the first matching cut is found by bisection
-        i = bisect_left(
-            self.cuts,
-            (key(self.chain.validate(y)), True),
-            key=lambda cut: (key(cut.threshold), cut.side == BELOW_OR_EQUAL),
+        return self._value_at(
+            bisect_left(self._cut_keys, (self.chain.key(self.chain.validate(y)), True))
         )
-        return self.cuts[i].value if i < len(self.cuts) else self.default
+
+    def raw_values(self, ys) -> list[Fraction]:
+        """`raw_value` of each y, in input order: the points are sorted
+        once and walked together with the ascending cuts."""
+        validate, key = self.chain.validate, self.chain.key
+        keys = [key(validate(y)) for y in ys]
+        cut_keys = self._cut_keys
+        m = len(cut_keys)
+        out: list = [None] * len(keys)
+        i = 0
+        # linear for input that already ascends or descends
+        for j in sorted(range(len(keys)), key=keys.__getitem__):
+            probe = (keys[j], True)
+            while i < m and cut_keys[i] < probe:
+                i += 1
+            out[j] = self._value_at(i)
+        return out
 
     def __call__(self, y) -> Fraction:
         v = self.raw_value(y)
@@ -229,12 +267,11 @@ def _finite_continuity(C: FiniteChain, f: SeparatingFunction) -> bool:
     """Exact openness of subbasic preimages in the intrinsic topology."""
     P = C.to_finite_poset()
     T = canonical_topology(P, "intrinsic")
-    values = sorted({f.raw_value(y) for y in range(C.n)})
-    for v in values:
+    raw = f.raw_values(range(C.n))
+    for v in sorted(set(raw)):
         strictly_below = 0
         strictly_above = 0
-        for y in range(C.n):
-            fy = f.raw_value(y)
+        for y, fy in enumerate(raw):
             if fy < v:
                 strictly_below |= 1 << y
             if fy > v:
@@ -252,10 +289,16 @@ def _certified_continuity(C: ChainHandle, f: SeparatingFunction) -> bool:
         return False
     tolerance = Fraction(1, 2**f.depth)
     key = C.key
+    # lo, witness, hi per certificate: already ascending for a staircase
+    points = []
     for cert in f.certificates:
+        points += (cert.lo, cert.lo if cert.witness is None else cert.witness, cert.hi)
+    raw = f.raw_values(points)
+    for i, cert in enumerate(f.certificates):
+        at_lo, at_witness, at_hi = raw[3 * i : 3 * i + 3]
         if key(cert.lo) >= key(cert.hi):
             return False
-        if f.raw_value(cert.lo) != cert.lo_value or f.raw_value(cert.hi) != cert.hi_value:
+        if at_lo != cert.lo_value or at_hi != cert.hi_value:
             return False
         if cert.kind == "gap":
             if C.between(cert.lo, cert.hi) is not None:
@@ -268,7 +311,7 @@ def _certified_continuity(C: ChainHandle, f: SeparatingFunction) -> bool:
                 return False
             if cert.hi_value - cert.lo_value > tolerance:
                 return False
-            if f.raw_value(w) != cert.lo_value:
+            if at_witness != cert.lo_value:
                 return False
         else:
             return False
@@ -300,7 +343,9 @@ def verify_separating(
         if not norm.intervals[0].upper_open:
             pts.append(norm.intervals[0].upper)
     pts.sort(key=C.key)
-    values = [f(p) for p in pts]
+    values = f.raw_values(pts)
+    if f.complemented:
+        values = [1 - v for v in values]
     monotone_ok = all(a <= b for a, b in zip(values, values[1:]))
     zero_on_A_ok = all(
         v == 0 for p, v in zip(pts, values) if interval_member(norm, p)

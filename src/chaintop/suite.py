@@ -193,14 +193,15 @@ def _certified_compact(check: _Check, C: ChainHandle, x, probes) -> bool:
     """Expected compactness of x from local structure, with the
     structure's claims validated against gap queries."""
     ls = C.local_structure(x)
+    kx = C.key(x)
     if ls.has_immediate_pred:
         check.run(
             f"{C.id}: declared predecessor of {C.format(x)} is not adjacent",
             C.between(ls.pred, x) is None,
         )
-    elif not (C.has_least and C.compare(x, C.least()) == 0):
+    elif not (C.has_least and kx == C.key(C.least())):
         for u in probes:
-            if C.compare(u, x) < 0:
+            if C.key(u) < kx:
                 check.run(
                     f"{C.id}: {C.format(u)} is an unreported predecessor of {C.format(x)}",
                     C.between(u, x) is not None,
@@ -523,7 +524,7 @@ def _random_interval_set(rng: random.Random, C: ChainHandle, pool) -> IntervalSe
     intervals = []
     for _ in range(rng.randint(0, 4)):
         a, b = rng.choice(pool), rng.choice(pool)
-        if C.compare(a, b) > 0:
+        if C.key(a) > C.key(b):
             a, b = b, a
         lower_open = rng.random() < 0.5
         upper_open = rng.random() < 0.5
@@ -598,7 +599,7 @@ def _claim_thm9(cfg: SuiteConfig) -> _Check:
             members = [p for p in probes if interval_member(norm, p)]
             for a in members[:6]:
                 for b in members[:6]:
-                    if C.compare(a, b) < 0:
+                    if C.key(a) < C.key(b):
                         w = C.between(a, b)
                         if w is not None and interval_member(IS, w) != interval_member(norm, w):
                             check.run(f"{label}: witness membership changed", False)

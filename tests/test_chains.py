@@ -14,6 +14,7 @@ from chaintop import (
     infinite_catalog,
     make_chain,
 )
+from chaintop.chains import SAMPLE_CAP
 
 ALL_IDS = ["finite:4", "int", "dyadic01", "rat01", "omega+1", "split"]
 
@@ -146,6 +147,13 @@ def test_sample_whole_finite_chain():
         make_chain("int").sample(0, 0)
 
 
+@pytest.mark.parametrize("cid", ALL_IDS + ["rev(rat01)"])
+def test_sample_count_is_capped(cid):
+    C = ReversedChain(make_chain("rat01")) if cid == "rev(rat01)" else make_chain(cid)
+    with pytest.raises(SampleTooLarge):
+        C.sample(0, SAMPLE_CAP + 1)
+
+
 def test_split_sample_exercises_both_sides():
     pts = make_chain("split").sample(1, 6)
     assert {i for _, i in pts} == {0, 1}
@@ -155,6 +163,16 @@ def test_validate_rejects_malformed(chain):
     for bad in (0.5, "x", (1, 2, 3), True):
         with pytest.raises(MalformedElement):
             chain.validate(bad)
+
+
+@pytest.mark.parametrize("cid", ["rat01", "dyadic01"])
+def test_unit_chains_validate_exactly_the_unit_interval(cid):
+    C = make_chain(cid)
+    for inside in (0, 1, Fraction(0), Fraction(1), Fraction(2, 2), Fraction(1, 2)):
+        assert C.validate(inside) == inside
+    for outside in (-1, 2, Fraction(-1, 3), Fraction(4, 3), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(MalformedElement):
+            C.validate(outside)
 
 
 def test_dyadic_rejects_non_dyadic():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from chaintop import suite
+from chaintop.chains import SAMPLE_CAP
 from chaintop.cli import main
 from chaintop.errors import CapExceeded
 from chaintop.topology import CANONICAL_NAMES
@@ -279,6 +280,16 @@ def test_separate_depth_out_of_range_exits_2(capsys, depth):
     code, out, err = run_cli(
         capsys,
         "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4", "--depth", depth,
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("samples", ["0", str(SAMPLE_CAP + 1)])
+def test_separate_samples_out_of_range_exits_2(capsys, samples):
+    code, out, err = run_cli(
+        capsys,
+        "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4",
+        "--depth", "3", "--samples", samples,
     )
     assert code == 2 and out == "" and err.startswith("error:")
 

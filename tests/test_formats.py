@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chaintop import (
+    ChainTopError,
     Interval,
     IntervalSet,
     NEG_INF,
@@ -124,6 +125,12 @@ def test_separating_schema_errors():
     for depth in ("10", 2.5, True, None):
         with pytest.raises(SchemaError):
             separating_from_dict(rat, {"cuts": [], "depth": depth})
+    out_of_order = [
+        {"side": "below-or-equal", "threshold": "3/4", "value": "0"},
+        {"side": "below-or-equal", "threshold": "1/4", "value": "1/2"},
+    ]
+    with pytest.raises(ChainTopError):
+        separating_from_dict(rat, {"cuts": out_of_order})
 
 
 _CERT = {"kind": "gap", "lo": "1/2", "hi": "3/4", "lo_value": "0", "hi_value": "1"}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,16 @@ def test_membership():
     IS = IntervalSet(INT, (closed_interval(1, 3),))
     assert interval_member(IS, 3)
     assert not interval_member(IS, 4)
+
+
+def test_membership_after_replace_reads_the_new_intervals():
+    IS = IntervalSet(INT, (closed_interval(1, 3),))
+    moved = replace(IS, intervals=(closed_interval(10, 12), below(-5)))
+    assert [interval_member(moved, x) for x in (-6, -5, -4, 2, 10, 12, 13)] == [
+        True, True, False, False, True, True, False,
+    ]
+    assert moved == IntervalSet(INT, (closed_interval(10, 12), below(-5)))
+    assert interval_member(IS, 2) and not interval_member(IS, 10)
 
 
 def test_ray_membership():

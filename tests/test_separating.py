@@ -16,6 +16,7 @@ from chaintop import (
     NEG_INF,
     NotClosed,
     NotLowerSet,
+    NotStrictlyOrdered,
     OMEGA,
     PointInsideA,
     SeparatingFunction,
@@ -31,7 +32,7 @@ from chaintop import (
     separate_from_upper,
     verify_separating,
 )
-from chaintop.separating import BELOW_OR_EQUAL, DEFAULT_DEPTH, DEPTH_CAP
+from chaintop.separating import BELOW_OR_EQUAL, DEFAULT_DEPTH, DEPTH_CAP, STRICTLY_BELOW
 from chaintop.suite import _separation_matrix
 
 RAT = make_chain("rat01")
@@ -247,8 +248,10 @@ def test_raw_value_matches_the_linear_scan_on_every_probe():
             probes.append(cut.threshold)
         for cert in f.certificates:
             probes.extend(p for p in (cert.lo, cert.hi, cert.witness) if p is not None)
-        for y in probes:
-            assert f.raw_value(y) == _first_matching_cut(f, y), (C.id, y)
+        expected = [_first_matching_cut(f, y) for y in probes]
+        assert [f.raw_value(y) for y in probes] == expected, C.id
+        assert f.raw_values(probes) == expected, C.id
+        assert f.raw_values(probes[::-1])[::-1] == expected, C.id
         checked += len(probes)
     assert checked > 1000
 
@@ -261,6 +264,27 @@ _OUTSIDE = {
     "omega+1": -1,
     "split": (Fraction(1, 2), 2),
 }
+
+
+@pytest.mark.parametrize("cid", sorted(_OUTSIDE))
+def test_every_constructor_rejects_a_bad_cut_side_or_cuts_out_of_order(cid):
+    C = make_chain(cid)
+    lo, hi = C.sample(0, 2)
+    zero, half = Fraction(0), Fraction(1, 2)
+    with pytest.raises(MalformedElement):
+        SeparatingFunction(C, (Cut(lo, "bogus", zero),))
+    with pytest.raises(MalformedElement):
+        replace(SeparatingFunction(C, ()), cuts=(Cut(lo, "bogus", zero),))
+    for cuts in (
+        (Cut(hi, BELOW_OR_EQUAL, zero), Cut(lo, BELOW_OR_EQUAL, half)),
+        (Cut(lo, BELOW_OR_EQUAL, zero), Cut(lo, STRICTLY_BELOW, half)),
+        (Cut(lo, STRICTLY_BELOW, zero), Cut(lo, STRICTLY_BELOW, half)),
+    ):
+        with pytest.raises(NotStrictlyOrdered):
+            SeparatingFunction(C, cuts)
+    # a strictly-below cut comes before a below-or-equal one at its threshold
+    f = SeparatingFunction(C, (Cut(lo, STRICTLY_BELOW, zero), Cut(lo, BELOW_OR_EQUAL, half)))
+    assert f.raw_values([hi, lo]) == [Fraction(1), half]
 
 
 @pytest.mark.parametrize("cid", sorted(_OUTSIDE))
