@@ -4,26 +4,35 @@ posets, each computed by brute force exactly as it is defined.
 On a finite poset every directed set has a greatest element, which is
 its supremum (Gierz et al., Continuous Lattices and Domains, CUP 2003).
 So way-below is the order itself, every poset is continuous, and the
-Scott topology is the Alexandrov topology of upper sets.  The library
-computes those closed forms; the functions here enumerate the
-definitions instead.  They are the oracles that the differential tests
-compare the closed forms with, and the suite calls them for the claims
-that are about these coincidences, so that no claim compares a closed
-form with itself.  Each costs up to 2^n work and stays capped.
+Scott topology is the Alexandrov topology of upper sets.  The upper and
+lower topologies have the principal filters and ideals as least
+neighbourhoods, so hyper-way-below is the order, every poset is
+hypercontinuous and Xu's condition holds; and a poset is conditionally
+complete iff every bounded pair has a supremum.  The library computes
+those closed forms; the functions here enumerate the definitions
+instead.  They are the oracles that the differential tests compare the
+closed forms with, and the suite calls them for the claims that are
+about these coincidences, so that no claim compares a closed form with
+itself.  Each costs up to 2^n work, bounded by `poset.POSET_CAP`.
 """
 
 from __future__ import annotations
 
-from .bitsets import as_set
+from .bitsets import as_set, elements
 from .poset import FinitePoset
-from .relations import EXHAUSTIVE_CAP, _check_cap
-from .topology import Topology, _is_upper_mask
+from .topology import Topology, canonical_topology
 
 
-def way_below(P: FinitePoset, x: int, y: int, cap: int = EXHAUSTIVE_CAP) -> bool:
+def _is_upper_mask(P: FinitePoset, mask: int) -> bool:
+    for x in elements(mask):
+        if P.up[x] & ~mask:
+            return False
+    return True
+
+
+def way_below(P: FinitePoset, x: int, y: int) -> bool:
     """Every directed subset with a supremum above y contains an
     element above x."""
-    _check_cap(P, cap)
     P.check_index(x)
     P.check_index(y)
     for mask, s in P.directed_with_sup:
@@ -32,23 +41,21 @@ def way_below(P: FinitePoset, x: int, y: int, cap: int = EXHAUSTIVE_CAP) -> bool
     return True
 
 
-def is_continuous_poset(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> bool:
+def is_continuous_poset(P: FinitePoset) -> bool:
     """Every waydown set is directed with supremum the point itself."""
-    _check_cap(P, cap)
     for x in range(P.n):
         waydown = 0
         for y in range(P.n):
-            if way_below(P, y, x, cap):
+            if way_below(P, y, x):
                 waydown |= 1 << y
         if not P.is_directed_mask(waydown) or P.sup_mask(waydown) != x:
             return False
     return True
 
 
-def way_way_below(P: FinitePoset, x: int, y: int, cap: int = EXHAUSTIVE_CAP) -> bool:
+def way_way_below(P: FinitePoset, x: int, y: int) -> bool:
     """Every subset with a supremum above y, the empty set included (its
     supremum is the least element), contains an element above x."""
-    _check_cap(P, cap)
     P.check_index(x)
     P.check_index(y)
     for mask in range(1 << P.n):
@@ -83,3 +90,47 @@ def scott_topology(P: FinitePoset) -> Topology:
         if all(s_mask & mask for s_mask, s in dirs if mask >> s & 1):
             opens.append(mask)
     return Topology.from_opens(P.n, opens)
+
+
+def hyper_prec(P: FinitePoset, y: int, x: int) -> bool:
+    """x lies in the upper-topology interior of the principal filter of y."""
+    P.check_index(x)
+    P.check_index(y)
+    T = canonical_topology(P, "upper")
+    return bool(T.interior_mask(P.up[y]) >> x & 1)
+
+
+def is_hypercontinuous(P: FinitePoset) -> bool:
+    """Every point is the directed supremum of its hyper-way-below set."""
+    T = canonical_topology(P, "upper")
+    for x in range(P.n):
+        approx = 0
+        for y in range(P.n):
+            if T.interior_mask(P.up[y]) >> x & 1:
+                approx |= 1 << y
+        if not P.is_directed_mask(approx) or P.sup_mask(approx) != x:
+            return False
+    return True
+
+
+def xu_condition(P: FinitePoset) -> bool:
+    """Every upper set closed in the intrinsic topology is closed in the
+    lower topology, checked on every subset."""
+    intrinsic = canonical_topology(P, "intrinsic")
+    lower = canonical_topology(P, "lower")
+    for mask in range(1 << P.n):
+        if not _is_upper_mask(P, mask):
+            continue
+        if intrinsic.is_closed_mask(mask) and not lower.is_closed_mask(mask):
+            return False
+    return True
+
+
+def conditional_completeness_failure(P: FinitePoset) -> int | None:
+    """The first nonempty subset (as a mask) that has an upper bound but
+    no supremum, or None when P is conditionally complete."""
+    for mask in range(1, 1 << P.n):
+        ubs = P.upper_bounds_mask(mask)
+        if ubs and P.least_of(ubs) is None:
+            return mask
+    return None

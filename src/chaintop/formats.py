@@ -42,7 +42,7 @@ def _require(obj: dict, key: str, types, path: str):
     return value
 
 
-def poset_from_dict(data: dict, max_n: int = 16) -> tuple[FinitePoset, Optional[list[str]]]:
+def poset_from_dict(data: dict) -> tuple[FinitePoset, Optional[list[str]]]:
     if not isinstance(data, dict):
         raise SchemaError("poset document must be an object")
     n = _require(data, "n", int, "")
@@ -65,8 +65,7 @@ def poset_from_dict(data: dict, max_n: int = 16) -> tuple[FinitePoset, Optional[
             isinstance(s, str) for s in labels
         ):
             raise SchemaError("labels must be a list of n strings", path="labels")
-    P = build_poset(n, pairs, mode, max_n=max_n)
-    return P, labels
+    return build_poset(n, pairs, mode), labels
 
 
 def poset_to_dict(P: FinitePoset, labels: Optional[list[str]] = None) -> dict:
@@ -77,8 +76,8 @@ def poset_to_dict(P: FinitePoset, labels: Optional[list[str]] = None) -> dict:
     return out
 
 
-def load_poset(text: str, max_n: int = 16) -> tuple[FinitePoset, Optional[list[str]]]:
-    return poset_from_dict(loads_json(text), max_n=max_n)
+def load_poset(text: str) -> tuple[FinitePoset, Optional[list[str]]]:
+    return poset_from_dict(loads_json(text))
 
 
 def dump_poset(P: FinitePoset, labels: Optional[list[str]] = None) -> str:

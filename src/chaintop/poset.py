@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .bitsets import as_set, elements, full_mask, mask_of
 from .errors import AxiomViolation, CapExceeded, IndexOutOfRange
 
-DEFAULT_MAX_N = 16
+POSET_CAP = 16  # no larger poset is built: subset kernels cost 2^n
 
 _DOWN_DIRS = {"down", "strict-down"}
 _STRICT_DIRS = {"strict-down", "strict-up"}
@@ -25,11 +25,16 @@ class FinitePoset:
     """A reflexive, antisymmetric, transitive relation on {0..n-1}.
 
     ``up[x]`` is the bitmask of ``{y : x <= y}``.  Instances are built
-    through :func:`build_poset`, which validates the axioms.
+    through :func:`build_poset`, which validates the axioms.  No instance
+    has more than ``POSET_CAP`` elements.
     """
 
     n: int
     up: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n > POSET_CAP:
+            raise CapExceeded(self.n, POSET_CAP)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -172,7 +177,6 @@ def build_poset(
     n: int,
     pairs: Iterable[tuple[int, int]],
     mode: str = "hasse-covers",
-    max_n: int = DEFAULT_MAX_N,
 ) -> FinitePoset:
     """Build a validated poset from related pairs.
 
@@ -184,8 +188,8 @@ def build_poset(
     """
     if n < 0:
         raise IndexOutOfRange(f"negative carrier size {n}")
-    if n > max_n:
-        raise CapExceeded(n, max_n)
+    if n > POSET_CAP:
+        raise CapExceeded(n, POSET_CAP)
     rows = [1 << x for x in range(n)]
     for x, y in pairs:
         for v in (x, y):
@@ -273,32 +277,49 @@ class PosetClassification:
         return asdict(self)
 
 
+def _pair_scan(P: FinitePoset) -> tuple[bool, Optional[int]]:
+    """Whether every pair has a supremum and an infimum, and the first
+    pair (as a mask) that has an upper bound but no supremum, from one
+    pass over the pairs a < b in increasing mask order."""
+    is_lattice = True
+    failure = None
+    for b in range(P.n):
+        for a in range(b):
+            ubs = P.up[a] & P.up[b]
+            if P.least_of(ubs) is None:
+                is_lattice = False
+                if ubs and failure is None:
+                    failure = 1 << a | 1 << b
+            elif is_lattice and P.greatest_of(P.down[a] & P.down[b]) is None:
+                is_lattice = False
+    return is_lattice, failure
+
+
 def conditional_completeness_failure(P: FinitePoset) -> Optional[int]:
-    """The first nonempty subset (as a mask) that has an upper bound but
-    no supremum, or None when P is conditionally complete."""
-    for mask in range(1, 1 << P.n):
-        ubs = P.upper_bounds_mask(mask)
-        if ubs and P.least_of(ubs) is None:
-            return mask
-    return None
+    """The first pair (as a mask) that has an upper bound but no
+    supremum, or None when P is conditionally complete.
+
+    Pairs suffice on a finite poset.  If every bounded pair has a
+    supremum, so has every nonempty bounded subset S + {x}: by induction
+    S has a supremum s, the upper bounds of {s, x} are those of S + {x},
+    so sup {s, x} is its supremum.
+    `definitions.conditional_completeness_failure` scans every subset.
+    """
+    return _pair_scan(P)[1]
 
 
 def classify(P: FinitePoset) -> PosetClassification:
     """Completeness and density flags.  Complete means conditionally
     complete with a least and a greatest element: then every subset is
     bounded, and the least element is the supremum of the empty set."""
-    is_lattice = all(
-        P.sup_mask(mask_of((a, b))) is not None and P.inf_mask(mask_of((a, b))) is not None
-        for a in range(P.n)
-        for b in range(a, P.n)
-    )
+    is_lattice, cc_failure = _pair_scan(P)
     order_dense = all(
         P.strict_up(x) & P.strict_down(y)
         for x in range(P.n)
         for y in range(P.n)
         if P.lt(x, y)
     )
-    conditionally_complete = conditional_completeness_failure(P) is None
+    conditionally_complete = cc_failure is None
     return PosetClassification(
         is_chain=P.is_chain,
         is_lattice=is_lattice,

@@ -5,9 +5,10 @@ On a finite poset every directed set has a greatest element, its
 supremum, so way-below is the order itself and `way_below_report` reads
 its table from the up-sets.  Way-way-below has no such closed form: a
 row of it takes one pass over the subsets that avoid the principal
-filter.  The brute-force definitions live in `definitions`, as the
-oracles these are tested against.  On catalog chains the relation is
-decided through local structure (gaps, predecessors, extremes)."""
+filter.  Hyper-way-below is the order too.  The brute-force
+definitions live in `definitions`, as the oracles these are tested
+against.  On catalog chains the relation is decided through local
+structure (gaps, predecessors, extremes)."""
 
 from __future__ import annotations
 
@@ -15,27 +16,18 @@ from dataclasses import asdict, dataclass
 
 from .bitsets import as_set, elements
 from .chains import ChainHandle, FiniteChain
-from .errors import CapExceeded, NotAChain
+from .errors import NotAChain
 from .poset import FinitePoset, classify
-from .topology import canonical_topology
-
-EXHAUSTIVE_CAP = 16
 
 COMPACT = "compact"
 SUP_OF_STRICT_DOWNSET = "sup-of-strict-downset"
 
 
-def _check_cap(P: FinitePoset, cap: int) -> None:
-    if P.n > cap:
-        raise CapExceeded(P.n, cap)
-
-
-def way_below(P: FinitePoset, x: int, y: int, cap: int = EXHAUSTIVE_CAP) -> bool:
+def way_below(P: FinitePoset, x: int, y: int) -> bool:
     """Way-below on a finite poset, which is the order: the supremum of
     a finite directed set is its greatest element, so when x <= y every
     directed set with supremum above y has an element above x, and {y}
     shows the converse."""
-    _check_cap(P, cap)
     P.check_index(x)
     P.check_index(y)
     return P.leq(x, y)
@@ -77,9 +69,8 @@ class WayBelowReport:
         }
 
 
-def way_below_report(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> WayBelowReport:
+def way_below_report(P: FinitePoset) -> WayBelowReport:
     """Way-below is the order, so every element is compact."""
-    _check_cap(P, cap)
     return WayBelowReport(P, P.up, P.full)
 
 
@@ -94,7 +85,7 @@ def chain_way_below(C: ChainHandle, x, y) -> bool:
     return C.local_structure(x).is_compact
 
 
-def theorem2_dichotomy(obj, x, cap: int = EXHAUSTIVE_CAP) -> str:
+def theorem2_dichotomy(obj, x) -> str:
     """Each chain element is compact or the supremum of its strict
     downset, never both and never neither."""
     if isinstance(obj, ChainHandle):
@@ -105,7 +96,7 @@ def theorem2_dichotomy(obj, x, cap: int = EXHAUSTIVE_CAP) -> str:
         if not P.is_chain:
             raise NotAChain("dichotomy requires a totally ordered input")
         P.check_index(x)
-        compact = way_below(P, x, x, cap)
+        compact = way_below(P, x, x)
         strict_down = P.strict_down(x)
         sup_of = bool(strict_down) and P.sup_mask(strict_down) == x
     if compact == sup_of:
@@ -113,7 +104,7 @@ def theorem2_dichotomy(obj, x, cap: int = EXHAUSTIVE_CAP) -> str:
     return COMPACT if compact else SUP_OF_STRICT_DOWNSET
 
 
-def way_way_below_row(P: FinitePoset, x: int, cap: int = EXHAUSTIVE_CAP) -> int:
+def way_way_below_row(P: FinitePoset, x: int) -> int:
     """The mask of all y with x way-way-below y.
 
     x fails to be way-way-below y iff some subset missing the principal
@@ -121,7 +112,6 @@ def way_way_below_row(P: FinitePoset, x: int, cap: int = EXHAUSTIVE_CAP) -> int:
     pass over the subsets of the complement of that filter removes the
     down-set of each such s.
     """
-    _check_cap(P, cap)
     P.check_index(x)
     rest = P.full & ~P.up[x]
     row = P.full
@@ -135,60 +125,57 @@ def way_way_below_row(P: FinitePoset, x: int, cap: int = EXHAUSTIVE_CAP) -> int:
         S = (S - 1) & rest
 
 
-def way_way_below(P: FinitePoset, x: int, y: int, cap: int = EXHAUSTIVE_CAP) -> bool:
+def way_way_below(P: FinitePoset, x: int, y: int) -> bool:
     """Like way-below but quantified over arbitrary subsets with suprema,
     the empty set included (its supremum is the least element)."""
-    row = way_way_below_row(P, x, cap)
+    row = way_way_below_row(P, x)
     P.check_index(y)
     return bool(row >> y & 1)
 
 
-def _way_way_below_columns(P: FinitePoset, cap: int) -> list[int]:
+def _way_way_below_columns(P: FinitePoset) -> list[int]:
     """For each x, the mask of the elements way-way-below x."""
     cols = [0] * P.n
     for y in range(P.n):
-        for x in elements(way_way_below_row(P, y, cap)):
+        for x in elements(way_way_below_row(P, y)):
             cols[x] |= 1 << y
     return cols
 
 
-def way_way_below_set(P: FinitePoset, x: int, cap: int = EXHAUSTIVE_CAP) -> frozenset[int]:
+def way_way_below_set(P: FinitePoset, x: int) -> frozenset[int]:
     P.check_index(x)
-    return as_set(_way_way_below_columns(P, cap)[x])
+    return as_set(_way_way_below_columns(P)[x])
 
 
-def distributivity_failure(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> int | None:
+def distributivity_failure(P: FinitePoset) -> int | None:
     """The first element that is not the supremum of the elements
     way-way-below it, or None when P is completely distributive."""
-    for x, approx in enumerate(_way_way_below_columns(P, cap)):
+    for x, approx in enumerate(_way_way_below_columns(P)):
         if P.sup_mask(approx) != x:
             return x
     return None
 
 
-def is_completely_distributive(P: FinitePoset, cap: int = EXHAUSTIVE_CAP) -> bool:
+def is_completely_distributive(P: FinitePoset) -> bool:
     """Every element is the supremum of the elements way-way-below it."""
-    return distributivity_failure(P, cap) is None
+    return distributivity_failure(P) is None
 
 
 def hyper_prec(P: FinitePoset, y: int, x: int) -> bool:
-    """x lies in the upper-topology interior of the principal filter of y."""
+    """x lies in the upper-topology interior of the principal filter of
+    y, which is y <= x: on a finite poset the upper topology has U_z =
+    up-set of z, so the principal filter of y is open and is its own
+    interior.  `definitions.hyper_prec` takes the interior."""
     P.check_index(x)
     P.check_index(y)
-    T = canonical_topology(P, "upper")
-    return bool(T.interior_mask(P.up[y]) >> x & 1)
+    return P.leq(y, x)
 
 
 def is_hypercontinuous(P: FinitePoset) -> bool:
-    """Every point is the directed supremum of its hyper-way-below set."""
-    T = canonical_topology(P, "upper")
-    for x in range(P.n):
-        approx = 0
-        for y in range(P.n):
-            if T.interior_mask(P.up[y]) >> x & 1:
-                approx |= 1 << y
-        if not P.is_directed_mask(approx) or P.sup_mask(approx) != x:
-            return False
+    """Every point is the directed supremum of its hyper-way-below set,
+    which holds on every finite poset: by `hyper_prec` that set is the
+    down-set of x, directed with greatest element x.
+    `definitions.is_hypercontinuous` checks every point."""
     return True
 
 
@@ -214,7 +201,7 @@ class Corollary3Report:
         return asdict(self)
 
 
-def _finite_chain_report(P: FinitePoset, cap: int, ll=way_below) -> Corollary3Report:
+def _finite_chain_report(P: FinitePoset, ll=way_below) -> Corollary3Report:
     """The report on a finite chain, with way-below decided by ``ll``."""
     least = P.least()
     cond1 = True
@@ -222,18 +209,14 @@ def _finite_chain_report(P: FinitePoset, cap: int, ll=way_below) -> Corollary3Re
         for y in range(P.n):
             if x == y == least:
                 continue
-            if P.lt(x, y) != ll(P, x, y, cap):
+            if P.lt(x, y) != ll(P, x, y):
                 cond1 = False
-    cond2 = all(
-        not ll(P, x, x, cap) for x in range(P.n) if x != least
-    )
+    cond2 = all(not ll(P, x, x) for x in range(P.n) if x != least)
     cls = classify(P)
     return Corollary3Report(cond1, cond2, cls.order_dense, cls.conditionally_complete)
 
 
-def corollary3_report(
-    obj, samples: int = 64, seed: int = 0, cap: int = EXHAUSTIVE_CAP
-) -> Corollary3Report:
+def corollary3_report(obj, samples: int = 64, seed: int = 0) -> Corollary3Report:
     """Check the agreement-of-relations conditions on a chain.
 
     Finite inputs are settled exhaustively over all pairs.  Infinite
@@ -243,11 +226,11 @@ def corollary3_report(
     declared density must produce a witness between every sampled pair.
     """
     if isinstance(obj, FiniteChain):
-        return _finite_chain_report(obj.to_finite_poset(), cap)
+        return _finite_chain_report(obj.to_finite_poset())
     if isinstance(obj, FinitePoset):
         if not obj.is_chain:
             raise NotAChain("the report is only defined on chains")
-        return _finite_chain_report(obj, cap)
+        return _finite_chain_report(obj)
     C: ChainHandle = obj
     pts = C.sample(seed, samples)
     least = C.least() if C.has_least else None

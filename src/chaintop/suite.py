@@ -4,9 +4,10 @@ seeded counterexample search over random posets.
 Every claim runs deterministically from the config seed and reports the
 instances it exercised together with any failure witnesses.  The claims
 about coincidences that are forced on finite posets (prop5, remark-dm,
-lemma1, thm2, cor3) compute the Scott topology and way-below from their
-definitions in `definitions`, not from the library's closed forms, so
-that they do not compare a closed form with itself.  Fault injection
+lemma1, thm2, cor3, cor6, xu) compute the Scott topology, way-below,
+hypercontinuity and Xu's condition from their definitions in
+`definitions`, not from the library's closed forms, so that they do not
+compare a closed form with itself.  Fault injection
 corrupts one kernel at a time (scott definition, way-below definition,
 interval normalization) so the suite can prove its own sensitivity.
 """
@@ -37,6 +38,7 @@ from .intervals import (
     normalize,
 )
 from .poset import (
+    POSET_CAP,
     FinitePoset,
     build_poset,
     chain_poset,
@@ -44,12 +46,10 @@ from .poset import (
     dm_closure,
 )
 from .relations import (
-    EXHAUSTIVE_CAP,
     _finite_chain_report,
     chain_way_below,
     distributivity_failure,
     is_completely_distributive,
-    is_hypercontinuous,
     corollary3_report,
     way_way_below_set,
 )
@@ -66,7 +66,6 @@ from .topology import (
     pospace_failure,
     separation_report,
     topology_equal,
-    xu_condition,
 )
 
 FAULT_KERNELS = ("scott", "way-below", "normalize")
@@ -289,7 +288,7 @@ def _claim_cor3(cfg: SuiteConfig) -> _Check:
     check = _Check("cor3")
     for n in _sizes(cfg):
         try:
-            rep = _finite_chain_report(chain_poset(n), EXHAUSTIVE_CAP, definitions.way_below)
+            rep = _finite_chain_report(chain_poset(n), definitions.way_below)
         except AssertionError as exc:
             check.run(f"C{n}: {exc}", False)
             continue
@@ -395,7 +394,7 @@ def _claim_remark_dm(cfg: SuiteConfig) -> _Check:
 def _claim_cor6(cfg: SuiteConfig) -> _Check:
     check = _Check("cor6")
     for n in _sizes(cfg):
-        check.run(f"C{n}: not hypercontinuous", is_hypercontinuous(chain_poset(n)))
+        check.run(f"C{n}: not hypercontinuous", definitions.is_hypercontinuous(chain_poset(n)))
     return check
 
 
@@ -430,14 +429,14 @@ def _claim_thm8_1(cfg: SuiteConfig) -> _Check:
 def _claim_xu(cfg: SuiteConfig) -> _Check:
     check = _Check("xu")
     for n in _sizes(cfg):
-        check.run(f"C{n}: xu condition fails", xu_condition(chain_poset(n)))
+        check.run(f"C{n}: xu condition fails", definitions.xu_condition(chain_poset(n)))
     rng = _rng(cfg, "xu")
     surveyed = 0
     holds = 0
     for _ in range(24):
         P = _random_poset(rng, 2, 5)
         surveyed += 1
-        if xu_condition(P):
+        if definitions.xu_condition(P):
             holds += 1
     check.note = f"random posets surveyed: {surveyed}, condition held on {holds}"
     return check
@@ -674,8 +673,8 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     # first reaches a bad size
     if not 1 <= cfg.min_n <= cfg.max_n:
         raise CoverageGap(f"size range {cfg.min_n}..{cfg.max_n} is empty or starts below 1")
-    if cfg.max_n > EXHAUSTIVE_CAP:
-        raise CapExceeded(cfg.max_n, EXHAUSTIVE_CAP)
+    if cfg.max_n > POSET_CAP:
+        raise CapExceeded(cfg.max_n, POSET_CAP)
     records = []
     for claim in sorted(set(cfg.claims)):
         try:

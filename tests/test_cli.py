@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,30 @@ def test_poset_check_rejects_bad_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "poset", "check", str(bad))
     assert code == 2
     assert "antisymmetric" in err
+
+
+def test_poset_check_rejects_a_poset_above_the_cap(capsys, tmp_path):
+    big = tmp_path / "c17.json"
+    big.write_text(json.dumps({"n": 17, "pairs": [[i, i + 1] for i in range(16)]}))
+    code, out, err = run_cli(capsys, "poset", "check", str(big))
+    assert (code, out, err) == (2, "", "error: size 17 exceeds exhaustive cap 16\n")
+
+
+def test_poset_check_rejects_a_huge_size_before_building_rows(tmp_path):
+    # a billion rows would not fit under the address-space limit, so an
+    # exit within it shows the cap is checked before they are built
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1000000000, "pairs": []}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    limit = 1 << 30
+    fresh = subprocess.run(
+        [sys.executable, "-m", "chaintop.cli", "poset", "check", str(huge)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+        2, "", "error: size 1000000000 exceeds exhaustive cap 16\n"
+    )
 
 
 def test_poset_classify_and_maxchains(capsys, c3_file):

@@ -10,14 +10,19 @@ import pytest
 from chaintop import (
     canonical_topology,
     chain_poset,
+    classify,
+    hyper_prec,
+    is_hypercontinuous,
     join_topologies,
     maximal_chains,
     way_below,
     way_below_report,
     way_way_below,
     way_way_below_row,
+    xu_condition,
 )
 from chaintop import definitions
+from chaintop.poset import conditional_completeness_failure
 from chaintop.relations import distributivity_failure
 
 from test_topology_oracle import all_posets, random_posets
@@ -108,3 +113,28 @@ def test_scott_based_names_are_the_definition(name):
 def test_every_finite_poset_is_continuous_by_definition():
     for P in POSETS:
         assert definitions.is_continuous_poset(P), P.up
+
+
+def test_hyper_prec_is_the_definition():
+    for P in POSETS:
+        for x in range(P.n):
+            for y in range(P.n):
+                assert hyper_prec(P, y, x) == definitions.hyper_prec(P, y, x), (P.up, x, y)
+
+
+def test_every_finite_poset_is_hypercontinuous_by_definition():
+    for P in POSETS:
+        assert is_hypercontinuous(P) == definitions.is_hypercontinuous(P) is True, P.up
+
+
+def test_xu_condition_is_the_definition():
+    for P in POSETS:
+        assert xu_condition(P) == definitions.xu_condition(P) is True, P.up
+
+
+def test_conditional_completeness_failure_is_the_definition():
+    # the pair witness is also the first failing subset on these posets
+    for P in POSETS:
+        mask = conditional_completeness_failure(P)
+        assert mask == definitions.conditional_completeness_failure(P), P.up
+        assert classify(P).conditionally_complete == (mask is None), P.up

@@ -5,6 +5,7 @@ import pytest
 from chaintop import (
     AxiomViolation,
     CapExceeded,
+    FinitePoset,
     IndexOutOfRange,
     PosetMap,
     antichain_poset,
@@ -55,7 +56,8 @@ def test_index_out_of_range():
 def test_size_cap():
     with pytest.raises(CapExceeded):
         build_poset(17, [])
-    build_poset(17, [], max_n=20)  # raising the cap is allowed
+    with pytest.raises(CapExceeded):
+        FinitePoset(17, tuple(1 << x for x in range(17)))
 
 
 def test_m3_relation_size():

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from chaintop import (
     CANONICAL_NAMES,
-    CapExceeded,
     CarrierMismatch,
     NotALattice,
     Topology,
@@ -205,8 +204,16 @@ def test_product():
 
 
 def test_product_cap():
-    with pytest.raises(CapExceeded):
-        product_topology(discrete_topology(4), discrete_topology(4))
+    # a 256-point product is built from its least neighbourhoods, the
+    # rectangles up(x) * down(y); only its open family would be 2^256
+    C16 = chain_poset(16)
+    prod = product_topology(canonical_topology(C16, "upper"), canonical_topology(C16, "lower"))
+    assert prod.n == 256
+    assert prod.minimal == tuple(
+        mask_of(16 * a + b for a in range(x, 16) for b in range(y + 1))
+        for x in range(16)
+        for y in range(16)
+    )
 
 
 def test_separation_reports():
