@@ -450,8 +450,10 @@ class SplitChain(ChainHandle):
         q, i = x
         if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
             raise MalformedElement(f"{x!r} has a non-rational first coordinate")
-        if isinstance(i, bool) or i not in (0, 1):
+        if isinstance(i, bool) or not isinstance(i, int) or i not in (0, 1):
             raise MalformedElement(f"{x!r} has side {i!r}, expected 0 or 1")
+        if type(x) is tuple and type(q) is Fraction:
+            return x  # already canonical
         return (Fraction(q), i)
 
     def _predecessor(self, x):

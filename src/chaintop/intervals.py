@@ -7,8 +7,9 @@ the chain starts to matter.  Unbounded rays carry symbolic infinities
 because catalog chains may lack extremes.
 
 An interval set validates its endpoints when it is built and keeps their
-order keys beside them, so membership validates the point once and then
-compares keys only.
+raw order keys beside them, `None` for an infinite end, so membership
+validates the point once and then compares keys only: one comparison per
+finite end, `<=` or `<` as the end is open or closed.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ class IntervalSet:
         object.__setattr__(self, "intervals", tuple(fixed))
         # a plain attribute, not a field: equality, repr and asdict see
         # only the intervals, and `replace` rebuilds it with them
+        key = self.chain.key
         object.__setattr__(self, "_bounds", tuple(
-            (_point_key(self.chain, iv.lower), iv.lower_open,
-             _point_key(self.chain, iv.upper), iv.upper_open)
+            (None if iv.lower is NEG_INF else key(iv.lower), iv.lower_open,
+             None if iv.upper is POS_INF else key(iv.upper), iv.upper_open)
             for iv in fixed
         ))
 
@@ -125,11 +127,11 @@ def _point_key(chain: ChainHandle, e):
 
 def interval_member(IS: IntervalSet, x) -> bool:
     """Whether x satisfies some interval's endpoint constraints."""
-    kx = _point_key(IS.chain, IS.chain.validate(x))
+    kx = IS.chain.key(IS.chain.validate(x))
     for lo, lower_open, hi, upper_open in IS._bounds:
-        if lo > kx or (lo == kx and lower_open):
+        if lo is not None and (kx <= lo if lower_open else kx < lo):
             continue
-        if kx > hi or (kx == hi and upper_open):
+        if hi is not None and (kx >= hi if upper_open else kx > hi):
             continue
         return True
     return False

@@ -24,17 +24,32 @@ _STRICT_DIRS = {"strict-down", "strict-up"}
 class FinitePoset:
     """A reflexive, antisymmetric, transitive relation on {0..n-1}.
 
-    ``up[x]`` is the bitmask of ``{y : x <= y}``.  Instances are built
-    through :func:`build_poset`, which validates the axioms.  No instance
-    has more than ``POSET_CAP`` elements.
+    ``up[x]`` is the bitmask of ``{y : x <= y}``.  Every instance checks
+    its shape and the three axioms when it is built, so a bad relation
+    ends as a ``ChainTopError`` here and never later in a kernel.
+    :func:`build_poset` builds one from related pairs.  No instance has
+    more than ``POSET_CAP`` elements.
     """
 
     n: int
     up: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n > POSET_CAP:
-            raise CapExceeded(self.n, POSET_CAP)
+        n, up = self.n, self.up
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise IndexOutOfRange(f"bad carrier size {n!r}")
+        if n > POSET_CAP:
+            raise CapExceeded(n, POSET_CAP)
+        if not isinstance(up, tuple) or len(up) != n:
+            raise IndexOutOfRange(f"a poset on {n} elements needs a tuple of {n} up-set rows")
+        for x, row in enumerate(up):
+            # row >> n is 0 exactly for 0 <= row < 2^n
+            if not isinstance(row, int) or isinstance(row, bool) or row >> n:
+                raise IndexOutOfRange(f"up-set row {row!r} of {x} is not a subset of 0..{n - 1}")
+            if not row >> x & 1:
+                raise AxiomViolation("reflexive", (x, x))
+        _check_antisymmetry(up, n)
+        _check_transitivity(up)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -157,20 +172,27 @@ def _transitive_close(rows: list[int], n: int) -> None:
                 rows[x] |= rows[k]
 
 
-def _check_antisymmetry(rows: list[int], n: int) -> None:
+def _check_antisymmetry(rows, n: int) -> None:
     for x in range(n):
         for y in range(x + 1, n):
             if rows[x] >> y & 1 and rows[y] >> x & 1:
                 raise AxiomViolation("antisymmetric", (x, y))
 
 
-def _check_transitivity(rows: list[int], n: int) -> None:
-    for x in range(n):
-        for y in elements(rows[x]):
-            missing = rows[y] & ~rows[x]
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _check_transitivity(rows) -> None:
+    for x, row in enumerate(rows):
+        # the set bits of the row, lowest first, so the first failure is
+        # the smallest witness
+        rest = row
+        while rest:
+            missing = rows[_lowest(rest)] & ~row
             if missing:
-                z = elements(missing)[0]
-                raise AxiomViolation("transitive", (x, z))
+                raise AxiomViolation("transitive", (x, _lowest(missing)))
+            rest &= rest - 1
 
 
 def build_poset(
@@ -198,12 +220,9 @@ def build_poset(
         rows[x] |= 1 << y
     if mode in ("hasse-covers", "hasse"):
         _transitive_close(rows, n)
-        _check_antisymmetry(rows, n)
-    elif mode in ("full-relation", "full"):
-        _check_antisymmetry(rows, n)
-        _check_transitivity(rows, n)
-    else:
+    elif mode not in ("full-relation", "full"):
         raise ValueError(f"unknown build mode {mode!r}")
+    # the poset checks antisymmetry and transitivity itself
     return FinitePoset(n, tuple(rows))
 
 

@@ -13,7 +13,9 @@ A function validates its cut thresholds and certificate elements when
 it is built and keeps each cut's order key, and it validates each
 argument once when it is called; from there on every comparison is by
 the chain's order key.  One point is found among the cuts by bisection;
-many points are sorted once and walked together with the cuts.
+many points are sorted once and walked together with the cuts, one key
+comparison per step: a point passes a below-or-equal cut when its key is
+above the threshold's, and a strictly-below cut when it is at or above.
 """
 
 from __future__ import annotations
@@ -108,8 +110,10 @@ class SeparatingFunction:
         # first key at or above y's.  A plain attribute, not a field:
         # `replace` rebuilds it with the cuts.
         cut_keys = [(key(c.threshold), c.side == BELOW_OR_EQUAL) for c in cuts]
-        for a, b in zip(cut_keys, cut_keys[1:]):
-            if not a < b:
+        for (ka, a_le), (kb, b_le) in zip(cut_keys, cut_keys[1:]):
+            # one threshold may carry a strictly-below cut, then a
+            # below-or-equal one
+            if not (ka <= kb if b_le and not a_le else ka < kb):
                 raise NotStrictlyOrdered("cuts must ascend strictly by threshold and side")
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "certificates", certs)
@@ -134,8 +138,12 @@ class SeparatingFunction:
         i = 0
         # linear for input that already ascends or descends
         for j in sorted(range(len(keys)), key=keys.__getitem__):
-            probe = (keys[j], True)
-            while i < m and cut_keys[i] < probe:
+            ky = keys[j]
+            # step past the cuts y does not match
+            while i < m:
+                kt, le = cut_keys[i]
+                if not (ky > kt if le else ky >= kt):
+                    break
                 i += 1
             out[j] = self._value_at(i)
         return out
@@ -207,7 +215,9 @@ def separate_from_lower(
     stack = [(b, x, Fraction(0), Fraction(1), depth)]
     while stack:
         lo, hi, vlo, vhi, budget = stack.pop()
-        mid = C.between(lo, hi)
+        # lo and hi are validated and lo < hi by construction, so the
+        # unchecked query suffices
+        mid = C._between(lo, hi)
         if mid is None:
             cuts.append(Cut(lo, BELOW_OR_EQUAL, vlo))
             certs.append(JumpCertificate("gap", lo, hi, vlo, vhi))

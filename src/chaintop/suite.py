@@ -53,7 +53,13 @@ from .relations import (
     corollary3_report,
     way_way_below_set,
 )
-from .separating import separate_from_lower, verify_separating
+from .separating import (
+    BELOW_OR_EQUAL,
+    STRICTLY_BELOW,
+    SeparatingFunction,
+    separate_from_lower,
+    verify_separating,
+)
 from .topology import (
     Topology,
     canonical_topology,
@@ -68,7 +74,7 @@ from .topology import (
     topology_equal,
 )
 
-FAULT_KERNELS = ("scott", "way-below", "normalize")
+FAULT_KERNELS = ("scott", "way-below", "normalize", "staircase")
 
 SEARCH_TARGETS = (
     "completely_distributive_fails",
@@ -182,6 +188,14 @@ def _normalize(IS: IntervalSet, faults) -> IntervalSet:
         cleaned.sort(key=_start_key(IS.chain))
         return IntervalSet(IS.chain, tuple(cleaned))
     return normalize(IS)
+
+
+def _separate(C: ChainHandle, A: IntervalSet, x, faults) -> SeparatingFunction:
+    f = separate_from_lower(C, A, x)
+    if "staircase" in faults:
+        flipped = {BELOW_OR_EQUAL: STRICTLY_BELOW, STRICTLY_BELOW: BELOW_OR_EQUAL}
+        return replace(f, cuts=tuple(replace(c, side=flipped[c.side]) for c in f.cuts))
+    return f
 
 
 def _sizes(cfg: SuiteConfig):
@@ -468,7 +482,7 @@ def _claim_thm8_2(cfg: SuiteConfig) -> _Check:
         C = make_chain(cid)
         A = IntervalSet(C, () if boundary is None else (below(boundary),))
         try:
-            f = separate_from_lower(C, A, x)
+            f = _separate(C, A, x, cfg.faults)
             rep = verify_separating(C, f, A, x, samples=cfg.separation_samples, seed=cfg.seed)
             check.run(
                 f"{cid}: boundary {boundary!r} point {C.format(x)}: {rep.as_dict()}",
@@ -669,6 +683,9 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     unknown_chains = [c for c in cfg.chains if c not in INFINITE_CHAIN_IDS]
     if unknown_chains:
         raise UnknownTarget(f"unknown chain ids {unknown_chains}")
+    unknown_faults = [f for f in cfg.faults if f not in FAULT_KERNELS]
+    if unknown_faults:
+        raise UnknownTarget(f"unknown faults {unknown_faults}")
     # the size range is checked before any claim runs, not when a claim
     # first reaches a bad size
     if not 1 <= cfg.min_n <= cfg.max_n:

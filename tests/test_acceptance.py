@@ -304,12 +304,21 @@ def test_criterion_9_hypercontinuity():
     _criterion("criterion-9 cor6 hypercontinuity of chains (n<=7)", ok)
 
 
+# the claims each injected fault breaks, and no others
+KILL_SETS = {
+    "scott": ["prop5", "remark-dm"],
+    "way-below": ["lemma1", "thm2"],
+    "normalize": ["thm9"],
+    "staircase": ["thm8-2"],
+}
+
+
 def test_criterion_10_mutation_sensitivity(default_report):
-    ok = default_report.passed()
+    ok = default_report.passed() and set(FAULT_KERNELS) == set(KILL_SETS)
     detail = []
     for fault in FAULT_KERNELS:
         rep = run_suite(SuiteConfig(faults=(fault,)))
-        failing = [r.claim for r in rep.records if r.verdict == "fail"]
-        ok = ok and bool(failing)
+        failing = sorted(r.claim for r in rep.records if r.verdict == "fail")
+        ok = ok and failing == KILL_SETS.get(fault)
         detail.append(f"{fault}->{','.join(failing) or 'UNDETECTED'}")
     _criterion("criterion-10 mutation self-test", ok, "; ".join(detail))

@@ -64,6 +64,27 @@ def test_trichotomy_and_transitivity_on_samples(chain):
                     assert chain.compare(a, c) <= 0
 
 
+class _Pair(tuple):
+    pass
+
+
+def test_split_validate_returns_a_canonical_pair_itself():
+    sp = make_chain("split")
+    pair = (Fraction(1, 2), 1)
+    assert sp.validate(pair) is pair
+    got = sp.validate((1, 0))
+    assert got == (Fraction(1), 0) and type(got[0]) is Fraction
+    sub = _Pair((Fraction(1, 2), 0))
+    got = sp.validate(sub)
+    assert got == (Fraction(1, 2), 0) and type(got) is tuple
+    for bad in (
+        (Fraction(1, 2), 2), (Fraction(1, 2), True), (Fraction(1, 2), 1.0),
+        (Fraction(1, 2), Fraction(1)), (True, 0), (0.5, 0), [Fraction(1), 0],
+    ):
+        with pytest.raises(MalformedElement):
+            sp.validate(bad)
+
+
 def test_between_examples():
     rat = make_chain("rat01")
     assert rat.between(Fraction(0), Fraction(1)) == Fraction(1, 2)

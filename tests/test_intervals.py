@@ -11,6 +11,7 @@ from chaintop import (
     NotAChain,
     NotOpen,
     OMEGA,
+    ReversedChain,
     WHOLE,
     above,
     below,
@@ -25,6 +26,7 @@ from chaintop import (
     normalize,
     open_interval,
 )
+from chaintop.intervals import NEG_INF, POS_INF
 from chaintop.suite import integer_window_components, m3_poset
 
 INT = make_chain("int")
@@ -39,6 +41,52 @@ def test_membership():
     IS = IntervalSet(INT, (closed_interval(1, 3),))
     assert interval_member(IS, 3)
     assert not interval_member(IS, 4)
+
+
+def member_by_compare(IS, x):
+    """Membership read off the endpoint constraints with `compare`."""
+    C = IS.chain
+    for iv in IS.intervals:
+        if iv.lower is not NEG_INF:
+            c = C.compare(iv.lower, x)
+            if c > 0 or (c == 0 and iv.lower_open):
+                continue
+        if iv.upper is not POS_INF:
+            c = C.compare(x, iv.upper)
+            if c > 0 or (c == 0 and iv.upper_open):
+                continue
+        return True
+    return False
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["base", "reversed"])
+@pytest.mark.parametrize("cid", ["finite:5", "int", "dyadic01", "rat01", "omega+1", "split"])
+def test_membership_matches_compare(cid, reverse):
+    C = make_chain(cid)
+    if reverse:
+        C = ReversedChain(C)
+    pool = C.sample(3, 5)
+    # every end is a probe, and so is a point strictly inside each gap
+    # of the pool that has one
+    probes = list(pool)
+    for a, b in zip(pool, pool[1:]):
+        mid = C.between(a, b)
+        if mid is not None:
+            probes.append(mid)
+    flags = [(False, False), (False, True), (True, False), (True, True)]
+    intervals = [WHOLE]
+    for a in pool:
+        for lower_open, upper_open in flags:
+            intervals.append(Interval(NEG_INF, True, a, upper_open))
+            intervals.append(Interval(a, lower_open, POS_INF, True))
+            for b in pool:
+                intervals.append(Interval(a, lower_open, b, upper_open))
+    rng = random.Random(f"member:{cid}:{reverse}")
+    sets = [IntervalSet(C, (iv,)) for iv in intervals]
+    sets += [IntervalSet(C, tuple(rng.sample(intervals, 3))) for _ in range(40)]
+    for IS in sets:
+        for p in probes:
+            assert interval_member(IS, p) == member_by_compare(IS, p), (IS.intervals, p)
 
 
 def test_membership_after_replace_reads_the_new_intervals():

@@ -5,6 +5,7 @@ import pytest
 from chaintop import (
     AxiomViolation,
     CapExceeded,
+    ChainTopError,
     FinitePoset,
     IndexOutOfRange,
     PosetMap,
@@ -58,6 +59,46 @@ def test_size_cap():
         build_poset(17, [])
     with pytest.raises(CapExceeded):
         FinitePoset(17, tuple(1 << x for x in range(17)))
+
+
+@pytest.mark.parametrize(
+    "n,up,error",
+    [
+        (3, (1,), IndexOutOfRange),  # too few rows
+        (2, [1, 2], IndexOutOfRange),  # not a tuple
+        (-1, (), IndexOutOfRange),
+        (True, (1,), IndexOutOfRange),
+        (2, (1, 2.0), IndexOutOfRange),  # not a bitmask
+        (2, (1, True), IndexOutOfRange),
+        (2, (1, 0b110), IndexOutOfRange),  # outside the carrier
+        (2, (1, -2), IndexOutOfRange),
+        (2, (1, 0), AxiomViolation),  # 1 is not below itself
+        (2, (0b11, 0b11), AxiomViolation),  # 0 <= 1 <= 0
+        (3, (0b011, 0b110, 0b100), AxiomViolation),  # 0 <= 1 <= 2, not 0 <= 2
+    ],
+)
+def test_direct_construction_checks_the_axioms(n, up, error):
+    with pytest.raises(error):
+        FinitePoset(n, up)
+    assert issubclass(error, ChainTopError)
+
+
+def test_direct_construction_reports_the_axiom():
+    with pytest.raises(AxiomViolation) as exc:
+        FinitePoset(2, (0b11, 0b11))
+    assert (exc.value.axiom, exc.value.witness) == ("antisymmetric", (0, 1))
+    with pytest.raises(AxiomViolation) as exc:
+        FinitePoset(3, (0b011, 0b110, 0b100))
+    assert (exc.value.axiom, exc.value.witness) == ("transitive", (0, 2))
+    with pytest.raises(AxiomViolation) as exc:
+        FinitePoset(2, (0b11, 0))
+    assert (exc.value.axiom, exc.value.witness) == ("reflexive", (1, 1))
+
+
+def test_direct_construction_accepts_a_poset():
+    P = FinitePoset(3, (0b111, 0b010, 0b110))
+    assert P == build_poset(3, [(0, 1), (0, 2), (2, 1)])
+    assert P.dual.up == P.down
 
 
 def test_m3_relation_size():

@@ -279,6 +279,8 @@ def test_every_constructor_rejects_a_bad_cut_side_or_cuts_out_of_order(cid):
         (Cut(hi, BELOW_OR_EQUAL, zero), Cut(lo, BELOW_OR_EQUAL, half)),
         (Cut(lo, BELOW_OR_EQUAL, zero), Cut(lo, STRICTLY_BELOW, half)),
         (Cut(lo, STRICTLY_BELOW, zero), Cut(lo, STRICTLY_BELOW, half)),
+        (Cut(lo, BELOW_OR_EQUAL, zero), Cut(lo, BELOW_OR_EQUAL, half)),
+        (Cut(hi, STRICTLY_BELOW, zero), Cut(lo, BELOW_OR_EQUAL, half)),
     ):
         with pytest.raises(NotStrictlyOrdered):
             SeparatingFunction(C, cuts)

@@ -74,6 +74,12 @@ def test_unknown_claim_and_chain():
         run_suite(SuiteConfig(chains=("reals",)))
 
 
+def test_unknown_fault():
+    # a misspelt fault must not run an unfaulted suite that passes
+    with pytest.raises(UnknownTarget):
+        run_suite(SuiteConfig(claims=("cor6",), faults=("stair-case",)))
+
+
 def test_claim_errors_keep_their_class_and_fields_under_the_claim_prefix(monkeypatch):
     def capped(cfg):
         raise CapExceeded(17, 16)
@@ -101,12 +107,25 @@ def test_record_lookup():
         report.record("lemma1")
 
 
+# the claims each injected fault breaks, and no others
+KILL_SETS = {
+    "scott": ["prop5", "remark-dm"],
+    "way-below": ["lemma1", "thm2"],
+    "normalize": ["thm9"],
+    "staircase": ["thm8-2"],
+}
+
+
+def test_every_fault_has_a_kill_set():
+    assert set(FAULT_KERNELS) == set(KILL_SETS)
+
+
 @pytest.mark.parametrize("fault", FAULT_KERNELS)
 def test_each_fault_is_detected(fault):
     report = run_suite(SuiteConfig(**{**SMALL.__dict__, "faults": (fault,)}))
     assert not report.passed()
-    failing = [r.claim for r in report.records if r.verdict == "fail"]
-    assert failing
+    failing = sorted(r.claim for r in report.records if r.verdict == "fail")
+    assert failing == KILL_SETS[fault]
     for rec in report.records:
         if rec.verdict == "fail":
             assert rec.witnesses  # verdict iff witnesses
@@ -117,6 +136,16 @@ def test_fault_scott_breaks_prop5_with_topology_diff():
     rec = report.record("prop5")
     assert rec.verdict == "fail"
     assert any("differ" in w for w in rec.witnesses)
+
+
+def test_fault_staircase_breaks_every_nonempty_separation():
+    report = run_suite(SuiteConfig(claims=("thm8-2",), faults=("staircase",)))
+    rec = report.record("thm8-2")
+    # twelve matrix cases, two of them with the empty lower set and so
+    # no cuts to flip, and the planted-fault check
+    assert rec.instances == 13
+    assert len(rec.witnesses) == 10
+    assert not any("boundary None" in w for w in rec.witnesses)
 
 
 def test_search_targets_all_findable():
