@@ -46,7 +46,6 @@ from .errors import (
     PointInsideA,
     SampleTooLarge,
     SchemaError,
-    UndecidableQuery,
     UnknownCatalogId,
     UnknownTarget,
 )
@@ -89,9 +88,7 @@ from .relations import (
     WayBelowReport,
     chain_way_below,
     corollary3_report,
-    hyper_prec,
     is_completely_distributive,
-    is_hypercontinuous,
     theorem2_dichotomy,
     way_below,
     way_below_report,
@@ -100,11 +97,8 @@ from .relations import (
     way_way_below_set,
 )
 from .separating import (
-    Cut,
-    JumpCertificate,
     SeparatingFunction,
     VerificationReport,
-    evaluate,
     reverse_interval_set,
     separate_from_lower,
     separate_from_upper,
@@ -144,7 +138,6 @@ from .topology import (
     separation_report,
     subspace_topology,
     topology_equal,
-    xu_condition,
 )
 
 __version__ = "0.1.0"

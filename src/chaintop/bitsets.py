@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -29,11 +29,6 @@ def as_set(mask: int) -> frozenset[int]:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def iter_masks(n: int) -> Iterator[int]:
-    """All 2^n subsets of an n-element carrier."""
-    return iter(range(1 << n))
 
 
 def size(mask: int) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    ChainTopError,
     MalformedElement,
     NotStrictlyOrdered,
     SampleTooLarge,
@@ -119,6 +120,13 @@ class ChainHandle(ABC):
         """The order key of a validated element: an exact value (a number,
         or a tuple of numbers) whose native order is the chain's order."""
         return x
+
+    def coordinate(self, x):
+        """An exact rational of a validated element, monotone and continuous
+        for the order topology, so that two elements share it only across a
+        gap: separating ramps are drawn over it.  Chains on which every
+        attained boundary below the top has a successor never need one."""
+        raise ChainTopError(f"{self.id} has no coordinate")
 
     def compare(self, x, y) -> int:
         """Total-order comparison: -1, 0, or 1."""
@@ -298,6 +306,9 @@ class _UnitFractionChain(ChainHandle):
     def _between(self, a, b):
         return (a + b) / 2
 
+    def coordinate(self, x):
+        return x
+
     def least(self):
         return Fraction(0)
 
@@ -472,6 +483,10 @@ class SplitChain(ChainHandle):
             return (q, 1)
         return ((q + r) / 2, 0)
 
+    def coordinate(self, x):
+        # (q,0) and (q,1) share q across their gap
+        return x[0]
+
     def _sample(self, rng, k):
         seen = set()
         if k >= 2:
@@ -532,6 +547,9 @@ class ReversedChain(ChainHandle):
 
     def _between(self, a, b):
         return self.base._between(b, a)
+
+    def coordinate(self, x):
+        return -self.base.coordinate(x)
 
     def _sample(self, rng, k):
         return self.base._sample(rng, k)

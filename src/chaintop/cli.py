@@ -53,7 +53,10 @@ from .formats import format_interval_set
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", position=exc.start) from exc
 
 
 def _load_poset_arg(path: str):
@@ -139,7 +142,7 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_waybelow(args) -> int:
-    if args.chain:
+    if args.chain is not None:
         C = make_chain(args.chain)
         x, y = C.parse(args.x), C.parse(args.y)
         _emit(chain_way_below(C, x, y))
@@ -196,7 +199,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.chain:
+    if args.chain is not None:
         C = make_chain(args.chain)
         IS = parse_interval_set(C, args.intervals)
         pieces = convex_components(IS)
@@ -218,7 +221,7 @@ def _cmd_separate(args) -> int:
     C = make_chain(args.chain)
     A = parse_interval_set(C, args.lower)
     x = C.parse(args.point)
-    f = separate_from_lower(C, A, x, depth=args.depth)
+    f = separate_from_lower(C, A, x)
     report = verify_separating(C, f, A, x, samples=args.samples, seed=args.seed)
     _emit({"function": separating_to_dict(f), "verification": report.as_dict()})
     return 0 if report.all_ok() else 1
@@ -320,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chain", required=True)
     sp.add_argument("--lower", required=True, help='closed lower set, e.g. "(-inf,1/2]"')
     sp.add_argument("--point", required=True)
-    sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_separate)

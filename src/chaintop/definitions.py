@@ -93,7 +93,10 @@ def scott_topology(P: FinitePoset) -> Topology:
 
 
 def hyper_prec(P: FinitePoset, y: int, x: int) -> bool:
-    """x lies in the upper-topology interior of the principal filter of y."""
+    """x lies in the upper-topology interior of the principal filter of y.
+
+    On a finite poset U_z = up-set of z in the upper topology, so the
+    filter is open and this is y <= x."""
     P.check_index(x)
     P.check_index(y)
     T = canonical_topology(P, "upper")
@@ -101,7 +104,9 @@ def hyper_prec(P: FinitePoset, y: int, x: int) -> bool:
 
 
 def is_hypercontinuous(P: FinitePoset) -> bool:
-    """Every point is the directed supremum of its hyper-way-below set."""
+    """Every point is the directed supremum of its hyper-way-below set.
+
+    True on every finite poset: that set is the down-set of x."""
     T = canonical_topology(P, "upper")
     for x in range(P.n):
         approx = 0
@@ -115,7 +120,10 @@ def is_hypercontinuous(P: FinitePoset) -> bool:
 
 def xu_condition(P: FinitePoset) -> bool:
     """Every upper set closed in the intrinsic topology is closed in the
-    lower topology, checked on every subset."""
+    lower topology, checked on every subset.
+
+    True on every finite poset: the lower topology has U_x = down-set of
+    x, so every upper set is closed in it."""
     intrinsic = canonical_topology(P, "intrinsic")
     lower = canonical_topology(P, "lower")
     for mask in range(1 << P.n):

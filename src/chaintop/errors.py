@@ -63,10 +63,6 @@ class SampleTooLarge(ChainTopError):
     pass
 
 
-class UndecidableQuery(ChainTopError):
-    pass
-
-
 class NotLowerSet(ChainTopError):
     pass
 

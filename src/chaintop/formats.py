@@ -2,7 +2,9 @@
 
 Poset files: {"n": int, "mode": "hasse"|"full", "pairs": [[x,y],...],
 "labels": optional [str]}.  Topology dumps: {"n": int, "opens":
-[[indices]...]} with opens sorted by (size, lexicographic).  Interval
+[[indices]...]} with opens sorted by (size, lexicographic).  Separating
+functions: {"lo": element or null, "hi": element or null,
+"complemented": bool}, elements in the chain's literal syntax.  Interval
 literals: "(a,b)", "[a,b]", "(-inf,b]", "[a,+inf)", comma-separated.
 Parsing is strict: malformed JSON raises ParseError with a position,
 bad fields raise SchemaError with the field path.
@@ -12,14 +14,13 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import Optional
 
 from .chains import ChainHandle
 from .errors import MalformedElement, ParseError, SchemaError
 from .intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from .poset import FinitePoset, build_poset
-from .separating import Cut, JumpCertificate, SeparatingFunction
+from .separating import SeparatingFunction
 from .topology import Topology
 from .bitsets import elements, mask_of
 
@@ -164,83 +165,26 @@ def format_interval_set(IS: IntervalSet) -> str:
 
 def separating_to_dict(f: SeparatingFunction) -> dict:
     return {
-        "cuts": [
-            {
-                "threshold": f.chain.format(cut.threshold),
-                "side": cut.side,
-                "value": str(cut.value),
-            }
-            for cut in f.cuts
-        ],
-        "default": str(f.default),
-        "depth": f.depth,
+        "lo": None if f.lo is None else f.chain.format(f.lo),
+        "hi": None if f.hi is None else f.chain.format(f.hi),
         "complemented": f.complemented,
-        "certificates": [
-            {
-                "kind": c.kind,
-                "lo": f.chain.format(c.lo),
-                "hi": f.chain.format(c.hi),
-                "lo_value": str(c.lo_value),
-                "hi_value": str(c.hi_value),
-                "witness": None if c.witness is None else f.chain.format(c.witness),
-            }
-            for c in f.certificates
-        ],
     }
-
-
-def _optional(obj: dict, key: str, types, default, path: str = ""):
-    return _require(obj, key, types, path) if key in obj else default
-
-
-def _parsed(parse, text: str, path: str):
-    """A chain element or a fraction read from a string field."""
-    try:
-        return parse(text)
-    except (MalformedElement, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(str(exc), path=path) from exc
 
 
 def separating_from_dict(chain: ChainHandle, data: dict) -> SeparatingFunction:
     if not isinstance(data, dict):
         raise SchemaError("separating function document must be an object")
-    cuts_raw = _require(data, "cuts", list, "")
-    cuts = []
-    for i, c in enumerate(cuts_raw):
-        path = f"cuts[{i}]"
-        if not isinstance(c, dict):
-            raise SchemaError("each cut must be an object", path=path)
-        side = _require(c, "side", str, f"{path}.")
-        if side not in ("below-or-equal", "strictly-below"):
-            raise SchemaError(f"unknown cut side {side!r}", path=f"{path}.side")
-        threshold = _parsed(chain.parse, _require(c, "threshold", str, f"{path}."), path)
-        value = _parsed(Fraction, _require(c, "value", str, f"{path}."), path)
-        cuts.append(Cut(threshold, side, value))
-    default = _parsed(Fraction, _optional(data, "default", str, "1"), "default")
-    depth = data.get("depth", 10)
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise SchemaError(f"field 'depth' has type {type(depth).__name__}", path="depth")
-    complemented = _optional(data, "complemented", bool, False)
-    certs = []
-    for i, c in enumerate(_optional(data, "certificates", list, [])):
-        path = f"certificates[{i}]"
-        if not isinstance(c, dict):
-            raise SchemaError("each certificate must be an object", path=path)
-        witness = _optional(c, "witness", (str, type(None)), None, f"{path}.")
-        certs.append(
-            JumpCertificate(
-                kind=_require(c, "kind", str, f"{path}."),
-                lo=_parsed(chain.parse, _require(c, "lo", str, f"{path}."), path),
-                hi=_parsed(chain.parse, _require(c, "hi", str, f"{path}."), path),
-                lo_value=_parsed(Fraction, _require(c, "lo_value", str, f"{path}."), path),
-                hi_value=_parsed(Fraction, _require(c, "hi_value", str, f"{path}."), path),
-                witness=None if witness is None else _parsed(chain.parse, witness, path),
-            )
-        )
-    return SeparatingFunction(
-        chain, tuple(cuts), default=default, depth=depth,
-        certificates=tuple(certs), complemented=complemented,
-    )
+    ends = []
+    for key in ("lo", "hi"):
+        text = _require(data, key, (str, type(None)), "")
+        try:
+            ends.append(None if text is None else chain.parse(text))
+        except MalformedElement as exc:
+            raise SchemaError(str(exc), path=key) from exc
+    if (ends[0] is None) != (ends[1] is None):
+        raise SchemaError("'lo' and 'hi' must both be null or both be elements", path="hi")
+    complemented = _require(data, "complemented", bool, "") if "complemented" in data else False
+    return SeparatingFunction(chain, ends[0], ends[1], complemented)
 
 
 def dump_separating(f: SeparatingFunction) -> str:

@@ -161,24 +161,6 @@ def is_completely_distributive(P: FinitePoset) -> bool:
     return distributivity_failure(P) is None
 
 
-def hyper_prec(P: FinitePoset, y: int, x: int) -> bool:
-    """x lies in the upper-topology interior of the principal filter of
-    y, which is y <= x: on a finite poset the upper topology has U_z =
-    up-set of z, so the principal filter of y is open and is its own
-    interior.  `definitions.hyper_prec` takes the interior."""
-    P.check_index(x)
-    P.check_index(y)
-    return P.leq(y, x)
-
-
-def is_hypercontinuous(P: FinitePoset) -> bool:
-    """Every point is the directed supremum of its hyper-way-below set,
-    which holds on every finite poset: by `hyper_prec` that set is the
-    down-set of x, directed with greatest element x.
-    `definitions.is_hypercontinuous` checks every point."""
-    return True
-
-
 @dataclass(frozen=True)
 class Corollary3Report:
     """Equivalence record: strict order agrees with way-below away from

@@ -1,39 +1,22 @@
-"""Monotone [0,1]-valued step functions separating a closed lower set
+"""Monotone continuous maps into [0,1] separating a closed lower set
 from an outside point.
 
-A function is a finite cut list, so it can only change value finitely
-often: across a gap of the chain such a jump is genuinely continuous,
-while inside a dense stretch the construction bisects down to a
-configurable depth and certifies each residual jump (of size 2^-depth)
-with the density witness that allows refining it further.  Every jump
-therefore carries a machine-checkable certificate instead of an
-unverifiable claim about infinitely many open sets.
-
-A function validates its cut thresholds and certificate elements when
-it is built and keeps each cut's order key, and it validates each
-argument once when it is called; from there on every comparison is by
-the chain's order key.  One point is found among the cuts by bisection;
-many points are sorted once and walked together with the cuts, one key
-comparison per step: a point passes a below-or-equal cut when its key is
-above the threshold's, and a strictly-below cut when it is at or above.
+A separating function is 0 up to a point lo, 1 from a point hi on, and in
+between the exact ramp (c(y) - c(lo)) / (c(hi) - c(lo)) over the chain's
+coordinate c, which is monotone and continuous for the order topology.
+Across a gap nothing lies between lo and hi, so the same representation
+is a two-valued step there and needs no coordinate.  A function
+validates lo and hi once and keeps their keys; each argument it is
+called with is validated once and compared by key.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .chains import ChainHandle, FiniteChain, ReversedChain
-from .errors import (
-    CapExceeded,
-    ChainTopError,
-    MalformedElement,
-    NotClosed,
-    NotLowerSet,
-    NotStrictlyOrdered,
-    PointInsideA,
-)
+from .errors import NotClosed, NotLowerSet, NotStrictlyOrdered, PointInsideA
 from .intervals import (
     NEG_INF,
     POS_INF,
@@ -44,117 +27,69 @@ from .intervals import (
 )
 from .topology import canonical_topology
 
-BELOW_OR_EQUAL = "below-or-equal"
-STRICTLY_BELOW = "strictly-below"
-
-DEFAULT_DEPTH = 10
-# a dense stretch bisects into up to 2^depth cuts
-DEPTH_CAP = 12
-
-
-@dataclass(frozen=True)
-class Cut:
-    threshold: object
-    side: str
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class JumpCertificate:
-    """Evidence that one value jump respects the chain's structure."""
-
-    kind: str  # "gap" or "density"
-    lo: object
-    hi: object
-    lo_value: Fraction
-    hi_value: Fraction
-    witness: object = None
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+# a ramp's continuity spot-check: bisecting toward a point from one side
+# must bring the value within _TOLERANCE of the point's in _STEPS steps
+_TOLERANCE = Fraction(1, 2**10)
+_STEPS = 40
 
 
 @dataclass(frozen=True)
 class SeparatingFunction:
-    """Piecewise-constant monotone map into [0,1].
+    """Monotone continuous map into [0,1]: 0 for y <= lo, 1 for y >= hi,
+    and the exact ramp over the chain's coordinate in between.
 
-    The cuts ascend strictly by threshold, a strictly-below cut before a
-    below-or-equal one at the same threshold.  Evaluation returns the
-    value of the first matching cut, defaulting to 1 beyond them.
-    ``complemented`` flips values through 1 - v, which turns a monotone
-    function on a reversed chain into an antitone one on the original.
+    lo = hi = None is the constant 1.  ``complemented`` flips values
+    through 1 - v, which turns a monotone function on a reversed chain
+    into an antitone one on the original.
     """
 
     chain: ChainHandle
-    cuts: tuple[Cut, ...]
-    default: Fraction = Fraction(1)
-    depth: int = DEFAULT_DEPTH
-    certificates: tuple[JumpCertificate, ...] = ()
+    lo: object
+    hi: object
     complemented: bool = False
 
     def __post_init__(self):
-        v = self.chain.validate
-        key = self.chain.key
-        for c in self.cuts:
-            if c.side not in (BELOW_OR_EQUAL, STRICTLY_BELOW):
-                raise MalformedElement(f"unknown cut side {c.side!r}")
-        cuts = tuple(Cut(v(c.threshold), c.side, c.value) for c in self.cuts)
-        certs = tuple(
-            JumpCertificate(
-                c.kind, v(c.lo), v(c.hi), c.lo_value, c.hi_value,
-                None if c.witness is None else v(c.witness),
-            )
-            for c in self.certificates
-        )
-        # a cut matches y when y < threshold, or y == threshold on a
-        # below-or-equal cut: exactly when its key (key(threshold),
-        # below-or-equal) >= (key(y), True).  Strictly ascending keys make
-        # that monotone along the cuts, so the first matching cut is the
-        # first key at or above y's.  A plain attribute, not a field:
-        # `replace` rebuilds it with the cuts.
-        cut_keys = [(key(c.threshold), c.side == BELOW_OR_EQUAL) for c in cuts]
-        for (ka, a_le), (kb, b_le) in zip(cut_keys, cut_keys[1:]):
-            # one threshold may carry a strictly-below cut, then a
-            # below-or-equal one
-            if not (ka <= kb if b_le and not a_le else ka < kb):
-                raise NotStrictlyOrdered("cuts must ascend strictly by threshold and side")
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "certificates", certs)
-        object.__setattr__(self, "_cut_keys", cut_keys)
-
-    def _value_at(self, i: int) -> Fraction:
-        return self.cuts[i].value if i < len(self.cuts) else self.default
+        C = self.chain
+        if self.lo is None and self.hi is None:
+            return
+        lo, hi = C.validate(self.lo), C.validate(self.hi)
+        klo, khi = C.key(lo), C.key(hi)
+        if not klo < khi:
+            raise NotStrictlyOrdered(f"{C.format(lo)} is not strictly below {C.format(hi)}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        # plain attributes, not fields: `replace` rebuilds them
+        object.__setattr__(self, "_klo", klo)
+        object.__setattr__(self, "_khi", khi)
+        if C._between(lo, hi) is not None:
+            clo, chi = C.coordinate(lo), C.coordinate(hi)
+            if not clo < chi:
+                raise NotStrictlyOrdered(
+                    f"{C.format(lo)} and {C.format(hi)} share a coordinate without a gap"
+                )
+            object.__setattr__(self, "_clo", clo)
+            object.__setattr__(self, "_span", chi - clo)
 
     def raw_value(self, y) -> Fraction:
-        return self._value_at(
-            bisect_left(self._cut_keys, (self.chain.key(self.chain.validate(y)), True))
-        )
+        y = self.chain.validate(y)
+        if self.lo is None:
+            return _ONE
+        k = self.chain.key(y)
+        if k <= self._klo:
+            return _ZERO
+        if k >= self._khi:
+            return _ONE
+        # strictly between lo and hi, so (lo, hi) is no gap and this is a ramp
+        return (self.chain.coordinate(y) - self._clo) / self._span
 
     def raw_values(self, ys) -> list[Fraction]:
-        """`raw_value` of each y, in input order: the points are sorted
-        once and walked together with the ascending cuts."""
-        validate, key = self.chain.validate, self.chain.key
-        keys = [key(validate(y)) for y in ys]
-        cut_keys = self._cut_keys
-        m = len(cut_keys)
-        out: list = [None] * len(keys)
-        i = 0
-        # linear for input that already ascends or descends
-        for j in sorted(range(len(keys)), key=keys.__getitem__):
-            ky = keys[j]
-            # step past the cuts y does not match
-            while i < m:
-                kt, le = cut_keys[i]
-                if not (ky > kt if le else ky >= kt):
-                    break
-                i += 1
-            out[j] = self._value_at(i)
-        return out
+        return [self.raw_value(y) for y in ys]
 
     def __call__(self, y) -> Fraction:
         v = self.raw_value(y)
         return 1 - v if self.complemented else v
-
-
-def evaluate(f: SeparatingFunction, y) -> Fraction:
-    return f(y)
 
 
 def _lower_set_boundary(chain: ChainHandle, A: IntervalSet):
@@ -182,54 +117,21 @@ def _lower_set_boundary(chain: ChainHandle, A: IntervalSet):
     return iv.upper
 
 
-def separate_from_lower(
-    C: ChainHandle, A: IntervalSet, x, depth: int = DEFAULT_DEPTH
-) -> SeparatingFunction:
-    """A monotone function that is 0 on the closed lower set A and 1 at x.
+def separate_from_lower(C: ChainHandle, A: IntervalSet, x) -> SeparatingFunction:
+    """A monotone continuous function that is 0 on the closed lower set A
+    and 1 at x.
 
-    If the stretch between the boundary of A and x collapses into a gap
-    the result is a two-valued step; otherwise bisection builds a dyadic
-    staircase with one certificate per jump.
+    From the boundary b of A it rises to 1 at the successor of b, a step
+    across a gap, or where b has none, at x, a ramp over the coordinate.
     """
-    if depth < 0:
-        raise ChainTopError(f"depth must be nonnegative, got {depth}")
-    if depth > DEPTH_CAP:
-        raise CapExceeded(depth, DEPTH_CAP)
     x = C.validate(x)
     if interval_member(A, x):
         raise PointInsideA(f"{C.format(x)} lies inside the set to separate from")
     b = _lower_set_boundary(C, A)
     if b is None:
-        return SeparatingFunction(C, (), depth=depth)
+        return SeparatingFunction(C, None, None)
     succ = C.successor(b)
-    if succ is not None:
-        # a gap right above the boundary: the indicator of the strict
-        # upper cone is already continuous, no staircase needed
-        step = (Cut(b, BELOW_OR_EQUAL, Fraction(0)),)
-        cert = (JumpCertificate("gap", b, succ, Fraction(0), Fraction(1)),)
-        return SeparatingFunction(C, step, depth=depth, certificates=cert)
-    cuts: list[Cut] = []
-    certs: list[JumpCertificate] = []
-    # an explicit stack: a self-calling closure would be a reference
-    # cycle that keeps both lists alive until a full collection
-    stack = [(b, x, Fraction(0), Fraction(1), depth)]
-    while stack:
-        lo, hi, vlo, vhi, budget = stack.pop()
-        # lo and hi are validated and lo < hi by construction, so the
-        # unchecked query suffices
-        mid = C._between(lo, hi)
-        if mid is None:
-            cuts.append(Cut(lo, BELOW_OR_EQUAL, vlo))
-            certs.append(JumpCertificate("gap", lo, hi, vlo, vhi))
-        elif budget == 0:
-            cuts.append(Cut(hi, STRICTLY_BELOW, vlo))
-            certs.append(JumpCertificate("density", lo, hi, vlo, vhi, witness=mid))
-        else:
-            vmid = (vlo + vhi) / 2
-            # the right half goes on first, so the left half's cuts come first
-            stack.append((mid, hi, vmid, vhi, budget - 1))
-            stack.append((lo, mid, vlo, vmid, budget - 1))
-    return SeparatingFunction(C, tuple(cuts), depth=depth, certificates=tuple(certs))
+    return SeparatingFunction(C, b, x if succ is None else succ)
 
 
 def reverse_interval_set(IS: IntervalSet) -> IntervalSet:
@@ -247,15 +149,13 @@ def reverse_interval_set(IS: IntervalSet) -> IntervalSet:
     return IntervalSet(rev, flipped)
 
 
-def separate_from_upper(
-    C: ChainHandle, A: IntervalSet, x, depth: int = DEFAULT_DEPTH
-) -> SeparatingFunction:
+def separate_from_upper(C: ChainHandle, A: IntervalSet, x) -> SeparatingFunction:
     """Dual separation: 1 on the closed upper set A, 0 at x.
 
     This is the lower-set construction on the order-reversed handle with
     values complemented."""
     rev_A = reverse_interval_set(A)
-    g = separate_from_lower(rev_A.chain, rev_A, x, depth)
+    g = separate_from_lower(rev_A.chain, rev_A, x)
     return replace(g, complemented=True)
 
 
@@ -291,41 +191,35 @@ def _finite_continuity(C: FiniteChain, f: SeparatingFunction) -> bool:
     return True
 
 
-def _certified_continuity(C: ChainHandle, f: SeparatingFunction) -> bool:
-    """Each jump must carry a valid gap or density certificate."""
-    levels = [cut.value for cut in f.cuts] + [f.default]
-    jumps = sum(1 for a, b in zip(levels, levels[1:]) if a != b)
-    if len(f.certificates) != jumps:
-        return False
-    tolerance = Fraction(1, 2**f.depth)
-    key = C.key
-    # lo, witness, hi per certificate: already ascending for a staircase
-    points = []
-    for cert in f.certificates:
-        points += (cert.lo, cert.lo if cert.witness is None else cert.witness, cert.hi)
-    raw = f.raw_values(points)
-    for i, cert in enumerate(f.certificates):
-        at_lo, at_witness, at_hi = raw[3 * i : 3 * i + 3]
-        if key(cert.lo) >= key(cert.hi):
-            return False
-        if at_lo != cert.lo_value or at_hi != cert.hi_value:
-            return False
-        if cert.kind == "gap":
-            if C.between(cert.lo, cert.hi) is not None:
-                return False
-        elif cert.kind == "density":
-            w = cert.witness
-            if w is None:
-                return False
-            if not key(cert.lo) < key(w) < key(cert.hi):
-                return False
-            if cert.hi_value - cert.lo_value > tolerance:
-                return False
-            if at_witness != cert.lo_value:
-                return False
-        else:
-            return False
-    return True
+def _approaches(f: SeparatingFunction, p, z, from_below: bool) -> bool:
+    """Bisecting from z toward p brings f within the tolerance of f(p),
+    or reaches a neighbour of p, which leaves nothing to approach."""
+    C = f.chain
+    target = f.raw_value(p)
+    for _ in range(_STEPS):
+        if abs(f.raw_value(z) - target) <= _TOLERANCE:
+            return True
+        z = C._between(z, p) if from_below else C._between(p, z)
+        if z is None:
+            return True
+    return False
+
+
+def _ramp_continuity(f: SeparatingFunction) -> bool:
+    """A step must sit on a gap; a ramp is spot-checked from both sides
+    at lo, at hi and at the point between them.  Below lo and above hi
+    the function is constant."""
+    if f.lo is None:
+        return True
+    mid = f.chain._between(f.lo, f.hi)
+    if mid is None:
+        return True
+    return (
+        _approaches(f, f.lo, mid, from_below=False)
+        and _approaches(f, mid, f.lo, from_below=True)
+        and _approaches(f, mid, f.hi, from_below=False)
+        and _approaches(f, f.hi, mid, from_below=True)
+    )
 
 
 def verify_separating(
@@ -339,15 +233,15 @@ def verify_separating(
     """Check the separation postconditions on a seeded sample.
 
     Monotonicity and the boundary values are sampled; continuity is
-    exact on finite chains and certificate-checked on infinite ones.
+    exact on finite chains and spot-checked on infinite ones.
     """
     x = C.validate(x)
     if isinstance(C, FiniteChain):
         samples = min(samples, C.n)
     pts = list(C.sample(seed, samples))
     pts.append(x)
-    # probe every decision point of the function as well
-    pts.extend(cut.threshold for cut in f.cuts)
+    # probe both ends of the ramp as well
+    pts.extend(p for p in (f.lo, f.hi) if p is not None)
     norm = normalize(A)
     if norm.intervals and norm.intervals[0].upper is not POS_INF:
         if not norm.intervals[0].upper_open:
@@ -364,5 +258,5 @@ def verify_separating(
     if isinstance(C, FiniteChain):
         continuity_ok = _finite_continuity(C, f)
     else:
-        continuity_ok = _certified_continuity(C, f)
+        continuity_ok = _ramp_continuity(f)
     return VerificationReport(monotone_ok, zero_on_A_ok, one_at_x_ok, continuity_ok)

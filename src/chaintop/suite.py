@@ -53,13 +53,7 @@ from .relations import (
     corollary3_report,
     way_way_below_set,
 )
-from .separating import (
-    BELOW_OR_EQUAL,
-    STRICTLY_BELOW,
-    SeparatingFunction,
-    separate_from_lower,
-    verify_separating,
-)
+from .separating import SeparatingFunction, separate_from_lower, verify_separating
 from .topology import (
     Topology,
     canonical_topology,
@@ -74,7 +68,7 @@ from .topology import (
     topology_equal,
 )
 
-FAULT_KERNELS = ("scott", "way-below", "normalize", "staircase")
+FAULT_KERNELS = ("scott", "way-below", "normalize", "ramp")
 
 SEARCH_TARGETS = (
     "completely_distributive_fails",
@@ -192,9 +186,8 @@ def _normalize(IS: IntervalSet, faults) -> IntervalSet:
 
 def _separate(C: ChainHandle, A: IntervalSet, x, faults) -> SeparatingFunction:
     f = separate_from_lower(C, A, x)
-    if "staircase" in faults:
-        flipped = {BELOW_OR_EQUAL: STRICTLY_BELOW, STRICTLY_BELOW: BELOW_OR_EQUAL}
-        return replace(f, cuts=tuple(replace(c, side=flipped[c.side]) for c in f.cuts))
+    if "ramp" in faults and A.intervals:
+        return replace(f, complemented=True)
     return f
 
 
@@ -492,13 +485,7 @@ def _claim_thm8_2(cfg: SuiteConfig) -> _Check:
             check.run(f"{cid}: boundary {boundary!r}: {exc}", False)
     rat = make_chain("rat01")
     A = IntervalSet(rat, (below(Fraction(1, 2)),))
-    f = separate_from_lower(rat, A, Fraction(3, 4), depth=4)
-    cuts = list(f.cuts)
-    cuts[1], cuts[-2] = (
-        replace(cuts[1], value=cuts[-2].value),
-        replace(cuts[-2], value=cuts[1].value),
-    )
-    broken = replace(f, cuts=tuple(cuts))
+    broken = SeparatingFunction(rat, Fraction(1, 2), Fraction(3, 4), complemented=True)
     rep = verify_separating(rat, broken, A, Fraction(3, 4), samples=cfg.separation_samples, seed=cfg.seed)
     check.run("planted fault escaped the verifier", not rep.monotone_ok)
     return check

@@ -394,13 +394,3 @@ def has_order_convex_basis(P: FinitePoset, T: Topology) -> bool:
         raise CarrierMismatch(f"poset carrier {P.n} differs from topology carrier {T.n}")
     return all(is_order_convex_mask(P, u) for u in T.minimal)
 
-
-def xu_condition(P: FinitePoset) -> bool:
-    """Every upper set closed in the intrinsic topology is closed in the
-    lower topology; equivalently, lower sets open in the intrinsic
-    topology are already open in the lower topology.
-
-    This holds on every finite poset: the lower topology has U_x =
-    down-set of x, so every lower set is open in it and every upper set
-    closed.  `definitions.xu_condition` checks every upper set."""
-    return True

@@ -25,10 +25,8 @@ from chaintop import (
     dm_closure,
     has_order_convex_basis,
     hull,
-    hyper_prec,
     interval_member,
     is_completely_distributive,
-    is_hypercontinuous,
     is_pospace,
     is_topological_lattice,
     make_chain,
@@ -38,7 +36,6 @@ from chaintop import (
     separation_report,
     topology_equal,
     way_way_below_set,
-    xu_condition,
 )
 from chaintop import definitions
 from chaintop.bitsets import as_set, mask_of
@@ -197,7 +194,7 @@ def test_criterion_6_separation_package():
         ok = ok and is_pospace(P, T)
         ok = ok and is_topological_lattice(P, T)
         ok = ok and has_order_convex_basis(P, T)
-        ok = ok and xu_condition(P)
+        ok = ok and definitions.xu_condition(P)
     C2 = chain_poset(2)
     ok = ok and not is_pospace(C2, canonical_topology(C2, "upper"))
     ok = ok and not separation_report(canonical_topology(C2, "upper")).t1
@@ -294,13 +291,13 @@ def test_criterion_9_hypercontinuity():
     ok = True
     for n in range(1, 8):
         P = chain_poset(n)
-        ok = ok and is_hypercontinuous(P)
+        ok = ok and definitions.is_hypercontinuous(P)
         # spot-check the underlying relation through upper-topology interiors
         T = canonical_topology(P, "upper")
         for y in range(n):
             interior = hull(T, as_set(P.up[y]), "interior")
             for x in range(n):
-                ok = ok and hyper_prec(P, y, x) == (x in interior)
+                ok = ok and definitions.hyper_prec(P, y, x) == (x in interior)
     _criterion("criterion-9 cor6 hypercontinuity of chains (n<=7)", ok)
 
 
@@ -309,7 +306,7 @@ KILL_SETS = {
     "scott": ["prop5", "remark-dm"],
     "way-below": ["lemma1", "thm2"],
     "normalize": ["thm9"],
-    "staircase": ["thm8-2"],
+    "ramp": ["thm8-2"],
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from chaintop import (
     OMEGA,
+    ChainTopError,
     FiniteChain,
     MalformedElement,
     NotStrictlyOrdered,
@@ -254,6 +255,39 @@ def test_sample_is_strictly_increasing_by_key(cid, reverse):
     C = ReversedChain(make_chain(cid)) if reverse else make_chain(cid)
     keys = [C.key(p) for p in C.sample(11, 4 if cid == "finite:4" else 16)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _with_coordinate(cid, reverse):
+    C = make_chain(cid)
+    return ReversedChain(C) if reverse else C
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("cid", ["dyadic01", "rat01", "split"])
+def test_coordinate_is_monotone_and_ties_only_across_a_gap(cid, reverse):
+    C = _with_coordinate(cid, reverse)
+    pts = C.sample(7, 60)
+    if cid == "split":
+        # both sides of a few split points, so that ties occur
+        pts = sorted(pts + [(p[0], 1 - p[1]) for p in pts[::6]], key=C.key)
+    ties = 0
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            assert C.key(a) < C.key(b)
+            assert C.coordinate(a) <= C.coordinate(b), (C.id, a, b)
+            if C.coordinate(a) == C.coordinate(b):
+                assert C.between(a, b) is None, (C.id, a, b)
+                ties += 1
+    assert ties > 0 if cid == "split" else ties == 0
+
+
+@pytest.mark.parametrize("cid", ["finite:4", "int", "omega+1"])
+def test_chains_without_a_coordinate_raise_a_library_error(cid):
+    C = make_chain(cid)
+    x = C.sample(0, 1)[0]
+    for handle in (C, ReversedChain(C)):
+        with pytest.raises(ChainTopError, match="no coordinate"):
+            handle.coordinate(x)
 
 
 def test_reversed_sample_sorted_descending_in_base():

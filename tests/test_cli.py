@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaintop import suite
 from chaintop.chains import SAMPLE_CAP
@@ -254,7 +258,7 @@ def test_decompose_finite(capsys, c3_file):
 def test_separate(capsys):
     code, out, _ = run_cli(
         capsys,
-        "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4", "--depth", "3",
+        "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4",
     )
     assert code == 0
     data = json.loads(out)
@@ -264,7 +268,7 @@ def test_separate(capsys):
         "one_at_x_ok": True,
         "continuity_ok": True,
     }
-    assert data["function"]["cuts"][0]["value"] == "0"
+    assert data["function"] == {"lo": "1/2", "hi": "3/4", "complemented": False}
 
 
 def test_missing_file_is_reported(capsys):
@@ -302,11 +306,15 @@ def test_bad_index_lists_exit_2(capsys, c3_file, argv):
 
 @pytest.mark.parametrize("depth", ["-1", "13"])
 def test_separate_depth_out_of_range_exits_2(capsys, depth):
-    code, out, err = run_cli(
-        capsys,
-        "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4", "--depth", depth,
-    )
-    assert code == 2 and out == "" and err.startswith("error:")
+    # the function is an exact ramp, so no depth is in range: the option
+    # is gone and argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4", "--depth", depth,
+        ])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --depth" in captured.err
 
 
 @pytest.mark.parametrize("samples", ["0", str(SAMPLE_CAP + 1)])
@@ -314,9 +322,101 @@ def test_separate_samples_out_of_range_exits_2(capsys, samples):
     code, out, err = run_cli(
         capsys,
         "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4",
-        "--depth", "3", "--samples", samples,
+        "--samples", samples,
     )
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "ff.json"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (("poset", "check", str(path)), ("topo", "make", str(path), "upper")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "UTF-8" in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("waybelow", "0", "1", "--chain", ""),
+        ("decompose", "--chain", "", "--intervals", "[1,2]"),
+        ("separate", "--chain", "", "--lower", "(-inf,1]", "--point", "2"),
+    ],
+)
+def test_an_empty_chain_spec_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: unknown chain spec ''\n")
+
+
+# argv fuzz: a subcommand, its positionals, then options with values, all
+# from small pools; {ff}, {poset} and {missing} stand for a file of the
+# bytes ff fe, a valid poset file and a path that does not exist
+_FILES = ("{ff}", "{poset}", "{missing}", "", "17")
+_VALUES = (
+    "", "-1", "17", "0", "1", "0,1", "1/2", "3/4", "omega", "1/2:0", "rat01", "int",
+    "split", "omega+1", "finite:3", "upper", "[1,2]", "(-inf,1/2]", "(-inf,1]",
+    "thm8-2", "ramp", *_FILES,
+)
+_NAMES = ("upper", "intrinsic", "scott", "17")
+_COMMANDS = {
+    ("poset", "check"): (_FILES,),
+    ("poset", "classify"): (_FILES,),
+    ("poset", "maxchains"): (_FILES,),
+    ("poset", "query"): (_FILES, ("cone", "bounds", "extremum", "dmclosure", "directed")),
+    ("poset", "cutstable"): (_FILES, _FILES),
+    ("topo", "make"): (_FILES, _NAMES),
+    ("topo", "join"): (_FILES, _FILES),
+    ("topo", "equal"): (_FILES, _FILES),
+    ("topo", "report"): (_FILES, _NAMES),
+    ("waybelow",): (_VALUES, _VALUES),
+    ("suite", "run", "--json", "--claims", "cor6"): (),
+    ("search",): (tuple(suite.SEARCH_TARGETS) + ("17",),),
+    ("decompose",): (),
+    ("separate",): (),
+}
+_OPTIONS = (
+    "--chain", "--poset", "--lower", "--point", "--set", "--intervals", "--name",
+    "--image", "--dir", "--samples", "--seed", "--claims", "--chains", "--min-n",
+    "--max-n", "--max-instances", "--inject-fault",
+)
+# appended last, so they win over drawn values and keep every example small
+_SIZE_LIMITS = {"suite": ("--max-n", "3"), "search": ("--max-n", "4", "--max-instances", "5")}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [*command, *(draw(st.sampled_from(pool)) for pool in _COMMANDS[command])]
+    for option in draw(st.lists(st.sampled_from(_OPTIONS), max_size=4)):
+        argv += [option, draw(st.sampled_from(_VALUES))]
+    argv += draw(st.lists(st.sampled_from(("--www", "--json")), max_size=1))
+    return argv + list(_SIZE_LIMITS.get(command[0], ()))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "ff.json").write_bytes(b"\xff\xfe")
+    (base / "c3.json").write_text(C3)
+    return {"{ff}": str(base / "ff.json"), "{poset}": str(base / "c3.json"),
+            "{missing}": str(base / "missing.json")}
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(argv=_argv())
+@example(argv=["poset", "check", "{ff}"])
+@example(argv=["waybelow", "0", "1", "--chain", ""])
+@example(argv=["decompose", "--chain", "", "--intervals", "[1,2]"])
+def test_any_argv_ends_in_an_exit_code_not_a_traceback(fuzz_files, argv):
+    argv = [fuzz_files.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_commands_in_one_process_match_fresh_processes(capsys, c3_file, tmp_path):

@@ -28,6 +28,7 @@ from chaintop.formats import (
     parse_interval,
     parse_interval_set,
     separating_from_dict,
+    separating_to_dict,
     topology_to_dict,
 )
 
@@ -108,46 +109,52 @@ def test_interval_literal_errors():
 def test_separating_function_roundtrip():
     rat = make_chain("rat01")
     A = IntervalSet(rat, (below(Fraction(1, 2)),))
-    f = separate_from_lower(rat, A, Fraction(3, 4), depth=4)
+    f = separate_from_lower(rat, A, Fraction(3, 4))
     data = json.loads(dump_separating(f))
+    assert data == {"lo": "1/2", "hi": "3/4", "complemented": False}
     g = separating_from_dict(rat, data)
+    assert (g.lo, g.hi, g.complemented) == (f.lo, f.hi, f.complemented)
     for q in rat.sample(3, 50):
         assert f(q) == g(q)
-    assert g.certificates == f.certificates
+    sp = make_chain("split")
+    h = separate_from_lower(sp, IntervalSet(sp, (below((Fraction(1, 2), 0)),)), (Fraction(1), 0))
+    assert separating_to_dict(h) == {"lo": "1/2:0", "hi": "1/2:1", "complemented": False}
+    assert separating_from_dict(sp, separating_to_dict(h)) == h
+    empty = separate_from_lower(rat, IntervalSet(rat, ()), Fraction(0))
+    assert separating_to_dict(empty) == {"lo": None, "hi": None, "complemented": False}
 
 
 def test_separating_schema_errors():
     rat = make_chain("rat01")
+    old = {
+        "cuts": [{"side": "below-or-equal", "threshold": "1/2", "value": "0"}],
+        "default": "1",
+        "depth": 10,
+        "complemented": False,
+        "certificates": [],
+    }
     with pytest.raises(SchemaError):
-        separating_from_dict(rat, {"cuts": [{"side": "sideways", "threshold": "0", "value": "0"}]})
+        separating_from_dict(rat, old)
     with pytest.raises(SchemaError):
-        separating_from_dict(rat, {"cuts": [{"side": "strictly-below", "threshold": "zebra", "value": "0"}]})
-    for depth in ("10", 2.5, True, None):
-        with pytest.raises(SchemaError):
-            separating_from_dict(rat, {"cuts": [], "depth": depth})
-    out_of_order = [
-        {"side": "below-or-equal", "threshold": "3/4", "value": "0"},
-        {"side": "below-or-equal", "threshold": "1/4", "value": "1/2"},
-    ]
+        separating_from_dict(rat, [])
     with pytest.raises(ChainTopError):
-        separating_from_dict(rat, {"cuts": out_of_order})
-
-
-_CERT = {"kind": "gap", "lo": "1/2", "hi": "3/4", "lo_value": "0", "hi_value": "1"}
+        separating_from_dict(rat, {"lo": "3/4", "hi": "1/4"})
 
 
 @pytest.mark.parametrize(
     "doc",
     [
-        {"cuts": [], "certificates": [1]},
-        {"cuts": [], "certificates": {}},
-        {"cuts": [], "default": "x"},
-        {"cuts": [], "default": "1/0"},
-        {"cuts": [], "complemented": "no"},
-        {"cuts": [], "certificates": [{**_CERT, "lo_value": "x"}]},
-        {"cuts": [], "certificates": [{**_CERT, "hi_value": "1/0"}]},
-        {"cuts": [], "certificates": [{**_CERT, "lo": "zebra"}]},
-        {"cuts": [], "certificates": [{**_CERT, "witness": 5}]},
+        {"cuts": []},
+        {"lo": "1/2"},
+        {"hi": "3/4"},
+        {"lo": None, "hi": "3/4"},
+        {"lo": "1/2", "hi": None},
+        {"lo": 5, "hi": "3/4"},
+        {"lo": "zebra", "hi": "3/4"},
+        {"lo": "1/2", "hi": "3/2"},
+        {"lo": "1/2", "hi": "1/0"},
+        {"lo": "1/2", "hi": "3/4", "complemented": "no"},
+        {"lo": None, "hi": None, "complemented": None},
     ],
 )
 def test_separating_malformed_fields_raise_schema_errors(doc):
@@ -155,7 +162,11 @@ def test_separating_malformed_fields_raise_schema_errors(doc):
         separating_from_dict(make_chain("rat01"), doc)
 
 
-def test_separating_certificate_fields_are_read():
-    f = separating_from_dict(make_chain("rat01"), {"cuts": [], "certificates": [{**_CERT, "witness": "5/8"}]})
-    assert f.certificates[0].witness == Fraction(5, 8)
-    assert f.default == 1 and f.complemented is False
+def test_separating_fields_are_read():
+    rat = make_chain("rat01")
+    f = separating_from_dict(rat, {"lo": "1/2", "hi": "3/4", "complemented": True})
+    assert (f.lo, f.hi, f.complemented) == (Fraction(1, 2), Fraction(3, 4), True)
+    assert f(Fraction(5, 8)) == Fraction(1, 2) and f(Fraction(1)) == 0
+    g = separating_from_dict(rat, {"lo": None, "hi": None})
+    assert g.lo is None and g.hi is None and g.complemented is False
+    assert g(Fraction(0)) == 1

@@ -15,9 +15,7 @@ from chaintop import (
     chain_poset,
     chain_way_below,
     corollary3_report,
-    hyper_prec,
     is_completely_distributive,
-    is_hypercontinuous,
     make_chain,
     theorem2_dichotomy,
     way_below,
@@ -165,16 +163,16 @@ def test_continuous_poset():
 
 def test_hyper_prec():
     C3 = chain_poset(3)
-    assert hyper_prec(C3, 1, 2)
-    assert not hyper_prec(C3, 2, 1)
-    assert hyper_prec(m3_poset(), 1, 1)
+    assert definitions.hyper_prec(C3, 1, 2)
+    assert not definitions.hyper_prec(C3, 2, 1)
+    assert definitions.hyper_prec(m3_poset(), 1, 1)
 
 
 def test_hypercontinuous():
     for n in range(1, 8):
-        assert is_hypercontinuous(chain_poset(n))
-    assert is_hypercontinuous(m3_poset())
-    assert is_hypercontinuous(build_poset(1, []))
+        assert definitions.is_hypercontinuous(chain_poset(n))
+    assert definitions.is_hypercontinuous(m3_poset())
+    assert definitions.is_hypercontinuous(build_poset(1, []))
 
 
 def test_corollary3_reports():

@@ -112,7 +112,7 @@ KILL_SETS = {
     "scott": ["prop5", "remark-dm"],
     "way-below": ["lemma1", "thm2"],
     "normalize": ["thm9"],
-    "staircase": ["thm8-2"],
+    "ramp": ["thm8-2"],
 }
 
 
@@ -138,11 +138,11 @@ def test_fault_scott_breaks_prop5_with_topology_diff():
     assert any("differ" in w for w in rec.witnesses)
 
 
-def test_fault_staircase_breaks_every_nonempty_separation():
-    report = run_suite(SuiteConfig(claims=("thm8-2",), faults=("staircase",)))
+def test_fault_ramp_breaks_every_nonempty_separation():
+    report = run_suite(SuiteConfig(claims=("thm8-2",), faults=("ramp",)))
     rec = report.record("thm8-2")
     # twelve matrix cases, two of them with the empty lower set and so
-    # no cuts to flip, and the planted-fault check
+    # left alone, and the planted-fault check
     assert rec.instances == 13
     assert len(rec.witnesses) == 10
     assert not any("boundary None" in w for w in rec.witnesses)

@@ -24,8 +24,8 @@ from chaintop import (
     separation_report,
     subspace_topology,
     topology_equal,
-    xu_condition,
 )
+from chaintop import definitions
 from chaintop.bitsets import as_set, mask_of
 from chaintop.suite import m3_poset, v_poset
 
@@ -311,7 +311,7 @@ def test_order_convex_basis():
 
 def test_xu_condition():
     for n in range(1, 7):
-        assert xu_condition(chain_poset(n))
-    assert xu_condition(build_poset(1, []))
+        assert definitions.xu_condition(chain_poset(n))
+    assert definitions.xu_condition(build_poset(1, []))
     for P in (m3_poset(), v_poset(), antichain_poset(3)):
-        assert xu_condition(P)  # recorded: trivially true on finite carriers
+        assert definitions.xu_condition(P)  # recorded: trivially true on finite carriers
