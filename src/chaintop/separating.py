@@ -29,9 +29,9 @@ from .topology import canonical_topology
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# a ramp's continuity spot-check: bisecting toward a point from one side
-# must bring the value within _TOLERANCE of the point's in _STEPS steps
-_TOLERANCE = Fraction(1, 2**10)
+# a ramp's continuity check: bisection must split it into pieces that
+# rise by at most _TOLERANCE, or into gaps, within _STEPS halvings
+_TOLERANCE = Fraction(1, 2**7)
 _STEPS = 40
 
 
@@ -121,8 +121,10 @@ def separate_from_lower(C: ChainHandle, A: IntervalSet, x) -> SeparatingFunction
     """A monotone continuous function that is 0 on the closed lower set A
     and 1 at x.
 
-    From the boundary b of A it rises to 1 at the successor of b, a step
-    across a gap, or where b has none, at x, a ramp over the coordinate.
+    It steps across a gap where one lies at hand: from the boundary b of
+    A to its successor, or where b has none, from the point m between b
+    and x to the successor of m.  Only where neither has a successor does
+    it ramp over the coordinate from b to x.
     """
     x = C.validate(x)
     if interval_member(A, x):
@@ -131,7 +133,14 @@ def separate_from_lower(C: ChainHandle, A: IntervalSet, x) -> SeparatingFunction
     if b is None:
         return SeparatingFunction(C, None, None)
     succ = C.successor(b)
-    return SeparatingFunction(C, b, x if succ is None else succ)
+    if succ is not None:
+        return SeparatingFunction(C, b, succ)
+    # b has no successor, so something lies strictly between b and x
+    m = C._between(b, x)
+    succ = C.successor(m)
+    if succ is not None:
+        return SeparatingFunction(C, m, succ)
+    return SeparatingFunction(C, b, x)
 
 
 def reverse_interval_set(IS: IntervalSet) -> IntervalSet:
@@ -191,35 +200,29 @@ def _finite_continuity(C: FiniteChain, f: SeparatingFunction) -> bool:
     return True
 
 
-def _approaches(f: SeparatingFunction, p, z, from_below: bool) -> bool:
-    """Bisecting from z toward p brings f within the tolerance of f(p),
-    or reaches a neighbour of p, which leaves nothing to approach."""
-    C = f.chain
-    target = f.raw_value(p)
-    for _ in range(_STEPS):
-        if abs(f.raw_value(z) - target) <= _TOLERANCE:
-            return True
-        z = C._between(z, p) if from_below else C._between(p, z)
-        if z is None:
-            return True
-    return False
-
-
 def _ramp_continuity(f: SeparatingFunction) -> bool:
-    """A step must sit on a gap; a ramp is spot-checked from both sides
-    at lo, at hi and at the point between them.  Below lo and above hi
-    the function is constant."""
+    """A monotone function is continuous when bisection with `between`
+    splits [lo, hi], within _STEPS halvings, into gaps and pieces over
+    which it rises by at most the tolerance.  A jump larger than the
+    tolerance, wherever it lies, keeps its piece above it at every level.
+    Below lo and above hi the function is constant."""
     if f.lo is None:
         return True
-    mid = f.chain._between(f.lo, f.hi)
-    if mid is None:
-        return True
-    return (
-        _approaches(f, f.lo, mid, from_below=False)
-        and _approaches(f, mid, f.lo, from_below=True)
-        and _approaches(f, mid, f.hi, from_below=False)
-        and _approaches(f, f.hi, mid, from_below=True)
-    )
+    C = f.chain
+    pieces = [(f.lo, f.hi, f.raw_value(f.lo), f.raw_value(f.hi), 0)]
+    while pieces:
+        a, b, fa, fb, level = pieces.pop()
+        if fb - fa <= _TOLERANCE:
+            continue
+        m = C._between(a, b)
+        if m is None:
+            continue
+        if level == _STEPS:
+            return False
+        fm = f.raw_value(m)
+        pieces.append((a, m, fa, fm, level + 1))
+        pieces.append((m, b, fm, fb, level + 1))
+    return True
 
 
 def verify_separating(
@@ -233,7 +236,7 @@ def verify_separating(
     """Check the separation postconditions on a seeded sample.
 
     Monotonicity and the boundary values are sampled; continuity is
-    exact on finite chains and spot-checked on infinite ones.
+    exact on finite chains and checked by bisection on infinite ones.
     """
     x = C.validate(x)
     if isinstance(C, FiniteChain):

@@ -306,8 +306,8 @@ def test_bad_index_lists_exit_2(capsys, c3_file, argv):
 
 @pytest.mark.parametrize("depth", ["-1", "13"])
 def test_separate_depth_out_of_range_exits_2(capsys, depth):
-    # the function is an exact ramp, so no depth is in range: the option
-    # is gone and argparse rejects it
+    # the function is an exact ramp, so the option is gone: the two
+    # formerly out-of-range depths and any other are argparse errors
     with pytest.raises(SystemExit) as exc:
         main([
             "separate", "--chain", "rat01", "--lower", "(-inf,1/2]", "--point", "3/4", "--depth", depth,

@@ -76,12 +76,22 @@ def test_split_gap_step():
     assert verify_separating(sp, f, A, (q, 1), samples=60, seed=1).all_ok()
 
 
-def test_split_ramp_crosses_gaps_and_dense_stretches():
+def test_split_dense_boundary_steps_across_the_next_gap():
+    # (1/2,1) has no successor, but the point between it and x does
     sp = make_chain("split")
     A = IntervalSet(sp, (below((Fraction(1, 2), 1)),))
     x = (Fraction(2), 0)
     f = separate_from_lower(sp, A, x)
-    assert (f.lo, f.hi) == ((Fraction(1, 2), 1), x)
+    assert (f.lo, f.hi) == ((Fraction(5, 4), 0), (Fraction(5, 4), 1))
+    assert f((Fraction(5, 4), 0)) == 0 and f((Fraction(5, 4), 1)) == 1
+    assert verify_separating(sp, f, A, x, samples=80, seed=4).all_ok()
+
+
+def test_split_ramp_crosses_gaps_and_dense_stretches():
+    sp = make_chain("split")
+    A = IntervalSet(sp, (below((Fraction(1, 2), 1)),))
+    x = (Fraction(2), 0)
+    f = SeparatingFunction(sp, (Fraction(1, 2), 1), x)
     # both sides of a split point share its coordinate across their gap
     assert f((Fraction(5, 4), 0)) == f((Fraction(5, 4), 1)) == Fraction(1, 2)
     assert f((Fraction(7, 8), 1)) == Fraction(1, 4)
@@ -171,6 +181,11 @@ def test_a_jumping_coordinate_fails_continuity():
         (Fraction(5, 8), True, False),
         (Fraction(5, 8), False, False),
         (Fraction(3, 4), True, False),
+        # neither lo, hi nor the point between them
+        (Fraction(9, 16), True, False),
+        (Fraction(9, 16), False, False),
+        # never a bisection point
+        (Fraction(3, 5), True, False),
         # above 3/4 the function is 1 whatever the coordinate does
         (Fraction(3, 4), False, True),
     ):
@@ -225,12 +240,17 @@ def test_separate_from_upper():
     assert verify_separating(rev_A.chain, lower, rev_A, Fraction(1, 4), samples=100, seed=2).all_ok()
 
 
-def test_the_dual_at_omega_needs_a_coordinate():
-    # omega has no predecessor, so separating {omega} from 2 takes a ramp
-    # on the reversed chain, and omega+1 has no coordinate
+def test_the_dual_at_omega_steps_across_a_gap():
+    # omega has no predecessor, but the natural between it and 2 does,
+    # so {omega} is separated from 2 by a step and needs no coordinate
     om = make_chain("omega+1")
-    with pytest.raises(ChainTopError, match="no coordinate"):
-        separate_from_upper(om, IntervalSet(om, (above(OMEGA),)), 2)
+    up = IntervalSet(om, (above(OMEGA),))
+    g = separate_from_upper(om, up, 2)
+    assert (g.lo, g.hi) == (3, 2)
+    assert [g(y) for y in (0, 2, 3, 40, OMEGA)] == [0, 0, 1, 1, 1]
+    rev_up = reverse_interval_set(up)
+    lower = replace(g, complemented=False)
+    assert verify_separating(rev_up.chain, lower, rev_up, 2, samples=50, seed=2).all_ok()
     g = separate_from_upper(om, IntervalSet(om, (above(5),)), 2)
     assert [g(y) for y in (2, 4, 5, OMEGA)] == [0, 0, 1, 1]
 
@@ -267,9 +287,7 @@ def _separations():
         C = make_chain(cid)
         A = IntervalSet(C, () if boundary is None else (below(boundary),))
         yield C, separate_from_lower(C, A, x), [x] if boundary is None else [boundary, x]
-        # {omega} is the one closed upper set here whose dual is a ramp
-        # (test_the_dual_at_omega_needs_a_coordinate)
-        if boundary is not None and x is not OMEGA:
+        if boundary is not None:
             up = IntervalSet(C, (above(x),))
             yield C, separate_from_upper(C, up, boundary), [boundary, x]
 
@@ -304,8 +322,9 @@ _OUTSIDE = {
 
 @pytest.mark.parametrize("cid", sorted(_OUTSIDE))
 def test_every_constructor_rejects_a_bad_cut_side_or_cuts_out_of_order(cid):
-    # lo and hi are the two cuts of a function: each is an element, or
-    # both are None, and lo lies strictly below hi
+    # the test id predates the ramp, whose two ends replaced the cuts:
+    # each end is an element, or both are None, and lo lies strictly
+    # below hi
     C = make_chain(cid)
     lo, hi = C.sample(0, 2)
     for ends in ((lo, None), (None, hi)):
