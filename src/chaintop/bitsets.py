@@ -13,13 +13,12 @@ def mask_of(items: Iterable[int]) -> int:
 
 
 def elements(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending; the walk visits only those."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

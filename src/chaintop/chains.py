@@ -304,7 +304,10 @@ class _UnitFractionChain(ChainHandle):
         return None
 
     def _between(self, a, b):
-        return (a + b) / 2
+        # the midpoint over one common denominator: a single gcd, where
+        # (a + b) / 2 reduces twice
+        da, db = a.denominator, b.denominator
+        return Fraction(a.numerator * db + b.numerator * da, 2 * da * db)
 
     def coordinate(self, x):
         return x

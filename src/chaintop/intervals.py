@@ -9,7 +9,8 @@ because catalog chains may lack extremes.
 An interval set validates its endpoints when it is built and keeps their
 raw order keys beside them, `None` for an infinite end, so membership
 validates the point once and then compares keys only: one comparison per
-finite end, `<=` or `<` as the end is open or closed.
+finite end, `<=` or `<` as the end is open or closed.  A caller that holds
+the key of a validated point already tests it with `_key_member`.
 """
 
 from __future__ import annotations
@@ -127,7 +128,12 @@ def _point_key(chain: ChainHandle, e):
 
 def interval_member(IS: IntervalSet, x) -> bool:
     """Whether x satisfies some interval's endpoint constraints."""
-    kx = IS.chain.key(IS.chain.validate(x))
+    return _key_member(IS, IS.chain.key(IS.chain.validate(x)))
+
+
+def _key_member(IS: IntervalSet, kx) -> bool:
+    """Membership of the validated element whose key is kx; callers that
+    hold keys already skip the validation of `interval_member`."""
     for lo, lower_open, hi, upper_open in IS._bounds:
         if lo is not None and (kx <= lo if lower_open else kx < lo):
             continue

@@ -18,6 +18,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 from . import definitions
 from .bitsets import as_set
@@ -29,6 +30,7 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     _canonical_interval,
+    _key_member,
     _mergeable,
     _start_key,
     below,
@@ -141,10 +143,12 @@ class _Check:
         self.witnesses: list[str] = []
         self.note = ""
 
-    def run(self, description: str, ok: bool) -> None:
+    def run(self, ok: bool, describe: Callable[[], str]) -> None:
+        """Count one instance; `describe` formats its witness and is called
+        only when the instance fails and a witness slot is left."""
         self.instances += 1
         if not ok and len(self.witnesses) < 20:
-            self.witnesses.append(description)
+            self.witnesses.append(describe())
 
     def record(self) -> ClaimRecord:
         verdict = "pass" if not self.witnesses else "fail"
@@ -197,20 +201,21 @@ def _sizes(cfg: SuiteConfig):
 
 def _certified_compact(check: _Check, C: ChainHandle, x, probes) -> bool:
     """Expected compactness of x from local structure, with the
-    structure's claims validated against gap queries."""
+    structure's claims validated against gap queries; `probes` are
+    (element, key) pairs of validated elements."""
     ls = C.local_structure(x)
     kx = C.key(x)
     if ls.has_immediate_pred:
         check.run(
-            f"{C.id}: declared predecessor of {C.format(x)} is not adjacent",
             C.between(ls.pred, x) is None,
+            lambda: f"{C.id}: declared predecessor of {C.format(x)} is not adjacent",
         )
     elif not (C.has_least and kx == C.key(C.least())):
-        for u in probes:
-            if C.key(u) < kx:
+        for u, ku in probes:
+            if ku < kx:
                 check.run(
-                    f"{C.id}: {C.format(u)} is an unreported predecessor of {C.format(x)}",
-                    C.between(u, x) is not None,
+                    C._between(u, x) is not None,
+                    lambda: f"{C.id}: {C.format(u)} is an unreported predecessor of {C.format(x)}",
                 )
     return ls.is_compact
 
@@ -224,30 +229,31 @@ def _claim_lemma1(cfg: SuiteConfig) -> _Check:
             for y in range(n):
                 wb = _way_below(P, x, y, cfg.faults)
                 if P.lt(x, y):
-                    check.run(f"C{n}: {x}<{y} but not way-below", wb)
+                    check.run(wb, lambda: f"C{n}: {x}<{y} but not way-below")
                 if wb:
-                    check.run(f"C{n}: {x} way-below {y} but not below", P.leq(x, y))
+                    check.run(P.leq(x, y), lambda: f"C{n}: {x} way-below {y} but not below")
                 check.run(
-                    f"C{n}: handle and oracle disagree at ({x},{y})",
                     chain_way_below(C, x, y) == wb,
+                    lambda: f"C{n}: handle and oracle disagree at ({x},{y})",
                 )
     for cid in cfg.chains:
         C = make_chain(cid)
         rng = _rng(cfg, f"lemma1:{cid}")
+        # validated and keyed once; pairs are ordered by key
         pts = C.sample(cfg.seed, max(8, cfg.sample_pairs // 8))
+        pts = [(p, C.key(C.validate(p))) for p in pts]
         for _ in range(cfg.sample_pairs):
-            x, y = rng.choice(pts), rng.choice(pts)
+            (x, kx), (y, ky) = rng.choice(pts), rng.choice(pts)
             wb = chain_way_below(C, x, y)
-            c = C.compare(x, y)
-            if c < 0:
-                check.run(f"{cid}: {C.format(x)}<{C.format(y)} not way-below", wb)
-            elif c > 0:
-                check.run(f"{cid}: descending pair {C.format(x)},{C.format(y)}", not wb)
+            if kx < ky:
+                check.run(wb, lambda: f"{cid}: {C.format(x)}<{C.format(y)} not way-below")
+            elif kx > ky:
+                check.run(not wb, lambda: f"{cid}: descending pair {C.format(x)},{C.format(y)}")
             else:
                 expected = _certified_compact(check, C, x, pts)
                 check.run(
-                    f"{cid}: diagonal at {C.format(x)} disagrees with local structure",
                     wb == expected,
+                    lambda: f"{cid}: diagonal at {C.format(x)} disagrees with local structure",
                 )
     return check
 
@@ -260,21 +266,24 @@ def _claim_thm2(cfg: SuiteConfig) -> _Check:
             compact = _way_below(P, x, x, cfg.faults)
             strict_down = P.strict_down(x)
             sup_of = bool(strict_down) and P.sup_mask(strict_down) == x
-            check.run(f"C{n}: dichotomy fails at {x}", compact != sup_of)
+            check.run(compact != sup_of, lambda: f"C{n}: dichotomy fails at {x}")
     for cid in cfg.chains:
         C = make_chain(cid)
         for x in C.sample(cfg.seed, cfg.sample_elements):
             ls = C.local_structure(x)
             check.run(
-                f"{cid}: dichotomy fails at {C.format(x)}",
                 ls.is_compact != ls.is_sup_of_strict_downset,
+                lambda: f"{cid}: dichotomy fails at {C.format(x)}",
             )
     for n in range(cfg.min_n, min(cfg.cd_max_n, cfg.max_n) + 1):
-        check.run(f"C{n}: not completely distributive", is_completely_distributive(chain_poset(n)))
+        check.run(
+            is_completely_distributive(chain_poset(n)),
+            lambda: f"C{n}: not completely distributive",
+        )
     notes = []
     for name, P in (("M3", m3_poset()), ("N5", n5_poset())):
         x = distributivity_failure(P)
-        check.run(f"{name}: unexpectedly completely distributive", x is not None)
+        check.run(x is not None, lambda: f"{name}: unexpectedly completely distributive")
         if x is not None:
             approx, s = _approximation(P, x)
             notes.append(f"{name}: element {x} has approximating set {approx} with sup {s}")
@@ -297,20 +306,20 @@ def _claim_cor3(cfg: SuiteConfig) -> _Check:
         try:
             rep = _finite_chain_report(chain_poset(n), definitions.way_below)
         except AssertionError as exc:
-            check.run(f"C{n}: {exc}", False)
+            check.run(False, lambda: f"C{n}: {exc}")
             continue
         expected = n == 1
-        check.run(f"C{n}: cond1 expected {expected}", rep.cond1 == expected)
-        check.run(f"C{n}: cond2 expected {expected}", rep.cond2 == expected)
+        check.run(rep.cond1 == expected, lambda: f"C{n}: cond1 expected {expected}")
+        check.run(rep.cond2 == expected, lambda: f"C{n}: cond2 expected {expected}")
     for cid in cfg.chains:
         C = make_chain(cid)
         try:
             rep = corollary3_report(C, samples=cfg.sample_elements, seed=cfg.seed)
         except AssertionError as exc:
-            check.run(f"{cid}: {exc}", False)
+            check.run(False, lambda: f"{cid}: {exc}")
             continue
         got = (rep.cond1, rep.cond2, rep.order_dense, rep.conditionally_complete)
-        check.run(f"{cid}: report {got}", got == _EXPECTED_COR3[cid])
+        check.run(got == _EXPECTED_COR3[cid], lambda: f"{cid}: report {got}")
     return check
 
 
@@ -319,13 +328,15 @@ def _claim_prop4(cfg: SuiteConfig) -> _Check:
     for n in _sizes(cfg):
         P = chain_poset(n)
         T = canonical_topology(P, "intrinsic")
-        check.run(f"C{n}: intrinsic not a pospace", is_pospace(P, T))
-        check.run(f"C{n}: intrinsic not a topological lattice", is_topological_lattice(P, T))
-        check.run(f"C{n}: intrinsic not Hausdorff", separation_report(T).hausdorff)
+        check.run(is_pospace(P, T), lambda: f"C{n}: intrinsic not a pospace")
+        check.run(
+            is_topological_lattice(P, T), lambda: f"C{n}: intrinsic not a topological lattice"
+        )
+        check.run(separation_report(T).hausdorff, lambda: f"C{n}: intrinsic not Hausdorff")
     C2 = chain_poset(2)
     check.run(
-        "negative control: C2 with upper topology claims to be a pospace",
         not is_pospace(C2, canonical_topology(C2, "upper")),
+        lambda: "negative control: C2 with upper topology claims to be a pospace",
     )
     return check
 
@@ -342,19 +353,19 @@ def _claim_prop5(cfg: SuiteConfig) -> _Check:
         scott = _scott(P, cfg.faults)
         dual_scott = _scott(P.dual, cfg.faults)
         check.run(
-            f"C{n}: upper vs scott differ: {_topology_diff(upper, scott)}",
             topology_equal(upper, scott),
+            lambda: f"C{n}: upper vs scott differ: {_topology_diff(upper, scott)}",
         )
         check.run(
-            f"C{n}: lower vs dual scott differ: {_topology_diff(lower, dual_scott)}",
             topology_equal(lower, dual_scott),
+            lambda: f"C{n}: lower vs dual scott differ: {_topology_diff(lower, dual_scott)}",
         )
         intrinsic = canonical_topology(P, "intrinsic")
         for name in _SEVEN_WAY:
             T = canonical_topology(P, name)
             check.run(
-                f"C{n}: intrinsic vs {name} differ: {_topology_diff(intrinsic, T)}",
                 topology_equal(intrinsic, T),
+                lambda: f"C{n}: intrinsic vs {name} differ: {_topology_diff(intrinsic, T)}",
             )
         for name, T in (
             ("lawson", join_topologies(scott, lower)),
@@ -362,8 +373,8 @@ def _claim_prop5(cfg: SuiteConfig) -> _Check:
             ("bi_scott", join_topologies(scott, dual_scott)),
         ):
             check.run(
-                f"C{n}: intrinsic vs {name} differ: {_topology_diff(intrinsic, T)}",
                 topology_equal(intrinsic, T),
+                lambda: f"C{n}: intrinsic vs {name} differ: {_topology_diff(intrinsic, T)}",
             )
     check.note = (
         "on finite carriers these coincidences are forced, so this claim "
@@ -387,13 +398,13 @@ def _claim_remark_dm(cfg: SuiteConfig) -> _Check:
             subset = as_set(mask)
             closure = hull(T, subset, "closure")
             check.run(
-                f"C{n}: closures differ on {sorted(subset)}",
                 closure == dm_closure(P, subset),
+                lambda: f"C{n}: closures differ on {sorted(subset)}",
             )
         # boundary: the cut closure of the empty set is the least-element
         # cut, the topological closure is empty
-        check.run(f"C{n}: empty-set cut closure", dm_closure(P, ()) == {0})
-        check.run(f"C{n}: empty-set scott closure", hull(T, (), "closure") == frozenset())
+        check.run(dm_closure(P, ()) == {0}, lambda: f"C{n}: empty-set cut closure")
+        check.run(hull(T, (), "closure") == frozenset(), lambda: f"C{n}: empty-set scott closure")
     check.note = "empty set excluded from the coincidence: cut closure gives the least element"
     return check
 
@@ -401,7 +412,9 @@ def _claim_remark_dm(cfg: SuiteConfig) -> _Check:
 def _claim_cor6(cfg: SuiteConfig) -> _Check:
     check = _Check("cor6")
     for n in _sizes(cfg):
-        check.run(f"C{n}: not hypercontinuous", definitions.is_hypercontinuous(chain_poset(n)))
+        check.run(
+            definitions.is_hypercontinuous(chain_poset(n)), lambda: f"C{n}: not hypercontinuous"
+        )
     return check
 
 
@@ -411,14 +424,14 @@ def _claim_thm7(cfg: SuiteConfig) -> _Check:
         P = chain_poset(n)
         rep = separation_report(canonical_topology(P, "intrinsic"))
         check.run(
-            f"C{n}: separation report {rep.as_dict()}",
             rep.t1 and rep.hausdorff and rep.normal and rep.completely_normal,
+            lambda: f"C{n}: separation report {rep.as_dict()}",
         )
     C2 = chain_poset(2)
     nu2 = canonical_topology(C2, "upper")
     rep = separation_report(nu2)
-    check.run("negative control: upper topology of C2 is T1", not rep.t1)
-    check.run("negative control: upper topology of C2 is Hausdorff", not rep.hausdorff)
+    check.run(not rep.t1, lambda: "negative control: upper topology of C2 is T1")
+    check.run(not rep.hausdorff, lambda: "negative control: upper topology of C2 is Hausdorff")
     return check
 
 
@@ -427,8 +440,8 @@ def _claim_thm8_1(cfg: SuiteConfig) -> _Check:
     for n in _sizes(cfg):
         P = chain_poset(n)
         check.run(
-            f"C{n}: intrinsic topology lacks an order-convex basis",
             has_order_convex_basis(P, canonical_topology(P, "intrinsic")),
+            lambda: f"C{n}: intrinsic topology lacks an order-convex basis",
         )
     return check
 
@@ -436,7 +449,7 @@ def _claim_thm8_1(cfg: SuiteConfig) -> _Check:
 def _claim_xu(cfg: SuiteConfig) -> _Check:
     check = _Check("xu")
     for n in _sizes(cfg):
-        check.run(f"C{n}: xu condition fails", definitions.xu_condition(chain_poset(n)))
+        check.run(definitions.xu_condition(chain_poset(n)), lambda: f"C{n}: xu condition fails")
     rng = _rng(cfg, "xu")
     surveyed = 0
     holds = 0
@@ -478,16 +491,16 @@ def _claim_thm8_2(cfg: SuiteConfig) -> _Check:
             f = _separate(C, A, x, cfg.faults)
             rep = verify_separating(C, f, A, x, samples=cfg.separation_samples, seed=cfg.seed)
             check.run(
-                f"{cid}: boundary {boundary!r} point {C.format(x)}: {rep.as_dict()}",
                 rep.all_ok(),
+                lambda: f"{cid}: boundary {boundary!r} point {C.format(x)}: {rep.as_dict()}",
             )
         except ChainTopError as exc:
-            check.run(f"{cid}: boundary {boundary!r}: {exc}", False)
+            check.run(False, lambda: f"{cid}: boundary {boundary!r}: {exc}")
     rat = make_chain("rat01")
     A = IntervalSet(rat, (below(Fraction(1, 2)),))
     broken = SeparatingFunction(rat, Fraction(1, 2), Fraction(3, 4), complemented=True)
     rep = verify_separating(rat, broken, A, Fraction(3, 4), samples=cfg.separation_samples, seed=cfg.seed)
-    check.run("planted fault escaped the verifier", not rep.monotone_ok)
+    check.run(not rep.monotone_ok, lambda: "planted fault escaped the verifier")
     return check
 
 
@@ -521,10 +534,12 @@ def integer_window_components(IS: IntervalSet) -> tuple[Interval, ...]:
 
 
 def _random_interval_set(rng: random.Random, C: ChainHandle, pool) -> IntervalSet:
+    """Up to four intervals between points of `pool`, a list of (element,
+    key) pairs."""
     intervals = []
     for _ in range(rng.randint(0, 4)):
-        a, b = rng.choice(pool), rng.choice(pool)
-        if C.key(a) > C.key(b):
+        (a, ka), (b, kb) = rng.choice(pool), rng.choice(pool)
+        if ka > kb:
             a, b = b, a
         lower_open = rng.random() < 0.5
         upper_open = rng.random() < 0.5
@@ -573,41 +588,57 @@ def _claim_thm9(cfg: SuiteConfig) -> _Check:
     for cid, raw, expected in _FIXED_MERGE_CASES:
         C = make_chain(cid)
         got = _normalize(IntervalSet(C, raw), cfg.faults).intervals
-        check.run(f"{cid}: canonical form {got} != {expected}", got == tuple(expected))
+        check.run(got == tuple(expected), lambda: f"{cid}: canonical form {got} != {expected}")
     chain_ids = tuple(cfg.chains) + (f"finite:{max(3, cfg.max_n)}",)
     for cid in chain_ids:
         C = make_chain(cid)
         rng = _rng(cfg, f"thm9:{cid}")
         pool_size = min(12, C.n) if isinstance(C, FiniteChain) else 12
-        pool = C.sample(cfg.seed, pool_size)
+        # validated and keyed once: the interval ends are pool points whose
+        # keys `IS._bounds` keeps, so membership below compares keys only
+        pool = [(p, C.key(C.validate(p))) for p in C.sample(cfg.seed, pool_size)]
         for case in range(cfg.interval_cases):
             IS = _random_interval_set(rng, C, pool)
             norm = _normalize(IS, cfg.faults)
-            label = f"{cid}: case {case}"
             for left, right in zip(norm.intervals, norm.intervals[1:]):
-                check.run(f"{label}: mergeable components remain", not _mergeable(C, left, right))
-            probes = list(pool)
-            for iv in IS.intervals:
-                for e in (iv.lower, iv.upper):
-                    if e is not NEG_INF and e is not POS_INF:
-                        probes.append(e)
-            for p in probes:
                 check.run(
-                    f"{label}: membership changed at {C.format(p)}",
-                    interval_member(IS, p) == interval_member(norm, p),
+                    not _mergeable(C, left, right),
+                    lambda: f"{cid}: case {case}: mergeable components remain",
                 )
-            members = [p for p in probes if interval_member(norm, p)]
-            for a in members[:6]:
-                for b in members[:6]:
-                    if C.key(a) < C.key(b):
-                        w = C.between(a, b)
-                        if w is not None and interval_member(IS, w) != interval_member(norm, w):
-                            check.run(f"{label}: witness membership changed", False)
+            probes = list(pool)
+            for iv, (lo, _, hi, _) in zip(IS.intervals, IS._bounds):
+                if lo is not None:
+                    probes.append((iv.lower, lo))
+                if hi is not None:
+                    probes.append((iv.upper, hi))
+            members = []
+            for p, k in probes:
+                in_norm = _key_member(norm, k)
+                check.run(
+                    _key_member(IS, k) == in_norm,
+                    lambda: f"{cid}: case {case}: membership changed at {C.format(p)}",
+                )
+                if in_norm:
+                    members.append((p, k))
+            members = members[:6]
+            for a, ka in members:
+                for b, kb in members:
+                    if ka < kb:
+                        w = C._between(a, b)
+                        if w is None:
+                            continue
+                        kw = C.key(C.validate(w))
+                        if _key_member(IS, kw) != _key_member(norm, kw):
+                            check.run(
+                                False, lambda: f"{cid}: case {case}: witness membership changed"
+                            )
             if cid == "int" and all(iv.bounded() for iv in IS.intervals):
                 oracle = integer_window_components(IS)
                 check.run(
-                    f"{label}: window oracle disagrees: {norm.intervals} vs {oracle}",
                     norm.intervals == oracle,
+                    lambda: (
+                        f"{cid}: case {case}: window oracle disagrees: {norm.intervals} vs {oracle}"
+                    ),
                 )
     for n in range(cfg.min_n, min(6, cfg.max_n) + 1):
         P = chain_poset(n)
@@ -621,7 +652,7 @@ def _claim_thm9(cfg: SuiteConfig) -> _Check:
                 for i in range(len(pieces))
                 for j in range(i + 1, len(pieces))
             )
-            check.run(f"C{n}: decomposition of {sorted(as_set(mask))} broken", ok)
+            check.run(ok, lambda: f"C{n}: decomposition of {sorted(as_set(mask))} broken")
     return check
 
 

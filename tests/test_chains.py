@@ -309,6 +309,28 @@ def test_rational_between_is_midpoint(a, b):
     assert rat.between(lo, hi) == (lo + hi) / 2
 
 
+_DYADIC01 = st.integers(0, 40).flatmap(
+    lambda e: st.integers(0, 2**e).map(lambda p: Fraction(p, 2**e))
+)
+
+
+@pytest.mark.parametrize(
+    "cid, points",
+    [("dyadic01", _DYADIC01), ("rat01", st.fractions(min_value=0, max_value=1))],
+)
+@given(data=st.data())
+def test_unit_between_is_the_reduced_midpoint(cid, points, data):
+    C = make_chain(cid)
+    a, b = data.draw(points), data.draw(points)
+    mid = C._between(a, b)
+    # Fraction equality compares numerators and denominators, so this
+    # also says the midpoint is in lowest terms
+    assert mid == (a + b) / 2
+    assert C.validate(mid) == mid
+    if a != b:
+        assert C.between(min(a, b), max(a, b)) == mid
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_integer_chain_total_order_laws(a, b, c):
     ic = make_chain("int")

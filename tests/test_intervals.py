@@ -26,7 +26,7 @@ from chaintop import (
     normalize,
     open_interval,
 )
-from chaintop.intervals import NEG_INF, POS_INF
+from chaintop.intervals import NEG_INF, POS_INF, _key_member
 from chaintop.suite import integer_window_components, m3_poset
 
 INT = make_chain("int")
@@ -87,6 +87,40 @@ def test_membership_matches_compare(cid, reverse):
     for IS in sets:
         for p in probes:
             assert interval_member(IS, p) == member_by_compare(IS, p), (IS.intervals, p)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["base", "reversed"])
+@pytest.mark.parametrize("cid", ["finite:5", "int", "dyadic01", "rat01", "omega+1", "split"])
+def test_key_member_matches_interval_member(cid, reverse):
+    """The key path agrees with the validating entry point and with the
+    `compare` oracle, on random sets and their canonical forms, at pool
+    points, interval ends and midpoints of the probes."""
+    C = make_chain(cid)
+    if reverse:
+        C = ReversedChain(C)
+    rng = random.Random(f"key-member:{cid}:{reverse}")
+    pool = C.sample(7, 5)
+    for _ in range(60):
+        intervals = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = sorted((rng.choice(pool), rng.choice(pool)), key=C.key)
+            lo = NEG_INF if rng.random() < 0.15 else a
+            hi = POS_INF if rng.random() < 0.15 else b
+            intervals.append(Interval(lo, rng.random() < 0.5, hi, rng.random() < 0.5))
+        IS = IntervalSet(C, tuple(intervals))
+        ends = [
+            e for iv in IS.intervals for e in (iv.lower, iv.upper)
+            if e is not NEG_INF and e is not POS_INF
+        ]
+        probes = pool + ends
+        mids = [C.between(a, b) for a in probes for b in probes if C.key(a) < C.key(b)]
+        probes += [m for m in mids if m is not None]
+        for S in (IS, normalize(IS)):
+            for p in probes:
+                expected = member_by_compare(S, p)
+                assert _key_member(S, C.key(p)) == interval_member(S, p) == expected, (
+                    S.intervals, p,
+                )
 
 
 def test_membership_after_replace_reads_the_new_intervals():

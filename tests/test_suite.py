@@ -1,3 +1,6 @@
+import hashlib
+from functools import lru_cache
+
 import pytest
 
 from chaintop import suite
@@ -220,3 +223,80 @@ def test_size_range_is_checked_before_any_claim_runs(monkeypatch, min_n, max_n, 
         monkeypatch.setitem(suite._CLAIM_FUNCTIONS, claim, never)
     with pytest.raises(error):
         run_suite(SuiteConfig(min_n=min_n, max_n=max_n))
+
+
+def test_a_passing_check_never_formats_its_witness():
+    def describe():
+        raise AssertionError("a witness was formatted for a passing instance")
+
+    check = suite._Check("probe")
+    for _ in range(3):
+        check.run(True, describe)
+    assert (check.instances, check.witnesses) == (3, [])
+    assert check.record().verdict == "pass"
+    # a failure past the twenty kept witnesses is counted, not formatted
+    for i in range(20):
+        check.run(False, lambda: f"failure {i}")
+    check.run(False, describe)
+    assert check.instances == 24
+    assert check.witnesses == [f"failure {i}" for i in range(20)]
+    assert check.record().verdict == "fail"
+
+
+@lru_cache(maxsize=None)
+def _default_report(seed, faults=()):
+    return run_suite(SuiteConfig(seed=seed, faults=faults))
+
+
+# the first witness of each claim a fault kills, default config at seed 0
+FIRST_WITNESSES = {
+    "scott": {
+        "prop5": "C2: upper vs scott differ: [[0], [1]]",
+        "remark-dm": "C2: closures differ on [0]",
+    },
+    "way-below": {
+        "lemma1": "C1: handle and oracle disagree at (0,0)",
+        "thm2": "C1: dichotomy fails at 0",
+    },
+    "normalize": {
+        "thm9": "int: canonical form (Interval(lower=1, lower_open=False, upper=3, "
+        "upper_open=False), Interval(lower=4, lower_open=False, upper=6, upper_open=False))"
+        " != (Interval(lower=1, lower_open=False, upper=6, upper_open=False),)",
+    },
+    "ramp": {
+        "thm8-2": "finite:3: boundary 0 point 2: {'monotone_ok': False, 'zero_on_A_ok': False,"
+        " 'one_at_x_ok': False, 'continuity_ok': True}",
+    },
+}
+
+
+@pytest.mark.parametrize("fault", FAULT_KERNELS)
+def test_witnesses_are_text_and_the_first_ones_are_pinned(fault):
+    report = _default_report(0, (fault,))
+    for rec in report.records:
+        assert all(type(w) is str for w in rec.witnesses), rec.claim
+    first = {r.claim: r.witnesses[0] for r in report.records if r.verdict == "fail"}
+    assert first == FIRST_WITNESSES[fault]
+
+
+# sha256 of run_suite(SuiteConfig(seed=s, faults=f)).as_json(); a change
+# that alters the report on purpose (say, new instances) updates these and
+# says why
+REPORT_DIGESTS = {
+    (0, ()): "50f45774f4875ebfc4ae037ab48852a768531de318f16f06cf211de05162eab7",
+    (17, ()): "b0957ed05289f0532c98da7602ae5ae29865cfdb0e6b66a9b1e3105b9da185e5",
+    (0, ("scott",)): "d2275c1e10ddd95185f9efc3f6603d873e8c379fc6d63b43730a49b5a6b23002",
+    (0, ("way-below",)): "947b72cbee402b131910a1ccabe7fd5b9d6d6af1000df4769e1bd61e8cf3b667",
+    (0, ("normalize",)): "d658161465f6ad8491d4c6fbad2e4151a0f2936e2c7f24c585e6fbec11f8bc60",
+    (0, ("ramp",)): "606c5ad3cfde19a27887eaf60579d321b04f451901dc2592609aab64ba61a584",
+}
+
+
+@pytest.mark.parametrize(
+    "seed, faults",
+    list(REPORT_DIGESTS),
+    ids=[f"{s}-{'+'.join(f) or 'none'}" for s, f in REPORT_DIGESTS],
+)
+def test_the_default_report_is_pinned(seed, faults):
+    digest = hashlib.sha256(_default_report(seed, faults).as_json().encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[(seed, faults)]
