@@ -10,7 +10,8 @@ An interval set validates its endpoints when it is built and keeps their
 raw order keys beside them, `None` for an infinite end, so membership
 validates the point once and then compares keys only: one comparison per
 finite end, `<=` or `<` as the end is open or closed.  A caller that holds
-the key of a validated point already tests it with `_key_member`.
+the key of a validated point already tests it with `_key_member`, on the
+set's bounds or on an order-preserving image of bounds and key alike.
 """
 
 from __future__ import annotations
@@ -128,13 +129,15 @@ def _point_key(chain: ChainHandle, e):
 
 def interval_member(IS: IntervalSet, x) -> bool:
     """Whether x satisfies some interval's endpoint constraints."""
-    return _key_member(IS, IS.chain.key(IS.chain.validate(x)))
+    return _key_member(IS._bounds, IS.chain.key(IS.chain.validate(x)))
 
 
-def _key_member(IS: IntervalSet, kx) -> bool:
-    """Membership of the validated element whose key is kx; callers that
-    hold keys already skip the validation of `interval_member`."""
-    for lo, lower_open, hi, upper_open in IS._bounds:
+def _key_member(bounds, kx) -> bool:
+    """Membership of the validated element whose key is kx in the set
+    whose `_bounds` are `bounds`; callers that hold keys already skip the
+    validation of `interval_member`.  Any map that preserves the order of
+    keys exactly may be applied to the bounds and to kx together."""
+    for lo, lower_open, hi, upper_open in bounds:
         if lo is not None and (kx <= lo if lower_open else kx < lo):
             continue
         if hi is not None and (kx >= hi if upper_open else kx > hi):

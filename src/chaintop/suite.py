@@ -9,12 +9,14 @@ hypercontinuity and Xu's condition from their definitions in
 `definitions`, not from the library's closed forms, so that they do not
 compare a closed form with itself.  Fault injection
 corrupts one kernel at a time (scott definition, way-below definition,
-interval normalization) so the suite can prove its own sensitivity.
+interval normalization, a dropped canonical component, the separating
+ramp) so the suite can prove its own sensitivity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -70,7 +72,7 @@ from .topology import (
     topology_equal,
 )
 
-FAULT_KERNELS = ("scott", "way-below", "normalize", "ramp")
+FAULT_KERNELS = ("scott", "way-below", "normalize", "ramp", "drop-component")
 
 SEARCH_TARGETS = (
     "completely_distributive_fails",
@@ -185,7 +187,11 @@ def _normalize(IS: IntervalSet, faults) -> IntervalSet:
                 cleaned.append(c)
         cleaned.sort(key=_start_key(IS.chain))
         return IntervalSet(IS.chain, tuple(cleaned))
-    return normalize(IS)
+    norm = normalize(IS)
+    if "drop-component" in faults:
+        i = len(norm.intervals) // 2
+        return IntervalSet(IS.chain, norm.intervals[:i] + norm.intervals[i + 1:])
+    return norm
 
 
 def _separate(C: ChainHandle, A: IntervalSet, x, faults) -> SeparatingFunction:
@@ -583,6 +589,51 @@ _FIXED_MERGE_CASES = [
 ]
 
 
+class _IntegerKeys:
+    """Exact integer images of the keys of one chain's `thm9` pool, so that
+    membership compares integers, not `Fraction`s.
+
+    L is twice the lcm of the denominators of the pool keys' `Fraction`
+    components; each such component c becomes c * L, and integer
+    components are kept.  The image of a key whose denominators divide L
+    is exact, so images order exactly as keys do.  That covers every key
+    `thm9` takes: the ends of its sets are pool points, or ends `normalize`
+    adds (0 and 1, or a `split` point sharing a pool point's rational), and
+    a `between` midpoint of two pool points has a denominator dividing
+    2 * lcm.  Any other key raises; nothing is rounded.
+    """
+
+    def __init__(self, keys):
+        self.L = 2 * math.lcm(*(
+            c.denominator
+            for k in keys
+            for c in (k if type(k) is tuple else (k,))
+            if type(c) is Fraction
+        ))
+
+    def key(self, k):
+        if type(k) is tuple:
+            return tuple([self._exact(c, k) for c in k])
+        return self._exact(k, k)
+
+    def _exact(self, c, k):
+        """The image of one component c of the key k."""
+        if type(c) is not Fraction:
+            return c
+        times, rest = divmod(self.L, c.denominator)
+        if rest:
+            raise AssertionError(f"key {k} has a denominator that does not divide L = {self.L}")
+        return c.numerator * times
+
+    def bounds(self, bounds):
+        """The images of an `IntervalSet._bounds`; infinite ends stay None."""
+        key = self.key
+        return tuple(
+            (None if lo is None else key(lo), lower_open, None if hi is None else key(hi), upper_open)
+            for lo, lower_open, hi, upper_open in bounds
+        )
+
+
 def _claim_thm9(cfg: SuiteConfig) -> _Check:
     check = _Check("thm9")
     for cid, raw, expected in _FIXED_MERGE_CASES:
@@ -594,9 +645,11 @@ def _claim_thm9(cfg: SuiteConfig) -> _Check:
         C = make_chain(cid)
         rng = _rng(cfg, f"thm9:{cid}")
         pool_size = min(12, C.n) if isinstance(C, FiniteChain) else 12
-        # validated and keyed once: the interval ends are pool points whose
-        # keys `IS._bounds` keeps, so membership below compares keys only
-        pool = [(p, C.key(C.validate(p))) for p in C.sample(cfg.seed, pool_size)]
+        # validated and keyed once, then scaled to integers: the interval
+        # ends are pool points, so membership below compares integers only
+        keyed = [(p, C.key(C.validate(p))) for p in C.sample(cfg.seed, pool_size)]
+        scale = _IntegerKeys([k for _, k in keyed])
+        pool = [(p, scale.key(k)) for p, k in keyed]
         for case in range(cfg.interval_cases):
             IS = _random_interval_set(rng, C, pool)
             norm = _normalize(IS, cfg.faults)
@@ -605,17 +658,18 @@ def _claim_thm9(cfg: SuiteConfig) -> _Check:
                     not _mergeable(C, left, right),
                     lambda: f"{cid}: case {case}: mergeable components remain",
                 )
+            bounds, norm_bounds = scale.bounds(IS._bounds), scale.bounds(norm._bounds)
             probes = list(pool)
-            for iv, (lo, _, hi, _) in zip(IS.intervals, IS._bounds):
+            for iv, (lo, _, hi, _) in zip(IS.intervals, bounds):
                 if lo is not None:
                     probes.append((iv.lower, lo))
                 if hi is not None:
                     probes.append((iv.upper, hi))
             members = []
             for p, k in probes:
-                in_norm = _key_member(norm, k)
+                in_norm = _key_member(norm_bounds, k)
                 check.run(
-                    _key_member(IS, k) == in_norm,
+                    _key_member(bounds, k) == in_norm,
                     lambda: f"{cid}: case {case}: membership changed at {C.format(p)}",
                 )
                 if in_norm:
@@ -627,8 +681,8 @@ def _claim_thm9(cfg: SuiteConfig) -> _Check:
                         w = C._between(a, b)
                         if w is None:
                             continue
-                        kw = C.key(C.validate(w))
-                        if _key_member(IS, kw) != _key_member(norm, kw):
+                        kw = scale.key(C.key(C.validate(w)))
+                        if _key_member(bounds, kw) != _key_member(norm_bounds, kw):
                             check.run(
                                 False, lambda: f"{cid}: case {case}: witness membership changed"
                             )

@@ -307,6 +307,7 @@ KILL_SETS = {
     "way-below": ["lemma1", "thm2"],
     "normalize": ["thm9"],
     "ramp": ["thm8-2"],
+    "drop-component": ["thm9"],
 }
 
 

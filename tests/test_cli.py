@@ -305,7 +305,7 @@ def test_bad_index_lists_exit_2(capsys, c3_file, argv):
 
 
 @pytest.mark.parametrize("depth", ["-1", "13"])
-def test_separate_depth_out_of_range_exits_2(capsys, depth):
+def test_separate_rejects_the_removed_depth_option(capsys, depth):
     # the function is an exact ramp, so the option is gone: the two
     # formerly out-of-range depths and any other are argparse errors
     with pytest.raises(SystemExit) as exc:

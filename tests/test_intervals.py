@@ -118,7 +118,7 @@ def test_key_member_matches_interval_member(cid, reverse):
         for S in (IS, normalize(IS)):
             for p in probes:
                 expected = member_by_compare(S, p)
-                assert _key_member(S, C.key(p)) == interval_member(S, p) == expected, (
+                assert _key_member(S._bounds, C.key(p)) == interval_member(S, p) == expected, (
                     S.intervals, p,
                 )
 

@@ -321,8 +321,7 @@ _OUTSIDE = {
 
 
 @pytest.mark.parametrize("cid", sorted(_OUTSIDE))
-def test_every_constructor_rejects_a_bad_cut_side_or_cuts_out_of_order(cid):
-    # the test id predates the ramp, whose two ends replaced the cuts:
+def test_every_constructor_rejects_missing_or_unordered_ends(cid):
     # each end is an element, or both are None, and lo lies strictly
     # below hi
     C = make_chain(cid)

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -11,17 +13,22 @@ from chaintop import (
     CoverageGap,
     FAULT_KERNELS,
     SEARCH_TARGETS,
+    ReversedChain,
     SearchConfig,
     SuiteConfig,
     UnknownTarget,
     find_counterexample,
+    interval_member,
     is_completely_distributive,
     is_pospace,
     canonical_topology,
     classify,
+    make_chain,
+    normalize,
     run_suite,
     separation_report,
 )
+from chaintop.intervals import NEG_INF, POS_INF
 
 SMALL = SuiteConfig(
     max_n=4,
@@ -116,6 +123,7 @@ KILL_SETS = {
     "way-below": ["lemma1", "thm2"],
     "normalize": ["thm9"],
     "ramp": ["thm8-2"],
+    "drop-component": ["thm9"],
 }
 
 
@@ -267,6 +275,10 @@ FIRST_WITNESSES = {
         "thm8-2": "finite:3: boundary 0 point 2: {'monotone_ok': False, 'zero_on_A_ok': False,"
         " 'one_at_x_ok': False, 'continuity_ok': True}",
     },
+    "drop-component": {
+        "thm9": "int: canonical form () != (Interval(lower=1, lower_open=False, upper=6,"
+        " upper_open=False),)",
+    },
 }
 
 
@@ -289,6 +301,7 @@ REPORT_DIGESTS = {
     (0, ("way-below",)): "947b72cbee402b131910a1ccabe7fd5b9d6d6af1000df4769e1bd61e8cf3b667",
     (0, ("normalize",)): "d658161465f6ad8491d4c6fbad2e4151a0f2936e2c7f24c585e6fbec11f8bc60",
     (0, ("ramp",)): "606c5ad3cfde19a27887eaf60579d321b04f451901dc2592609aab64ba61a584",
+    (0, ("drop-component",)): "db83f9a88764052d99563db9ffb3358b83ded3207f593220ad390a476cedbd50",
 }
 
 
@@ -300,3 +313,80 @@ REPORT_DIGESTS = {
 def test_the_default_report_is_pinned(seed, faults):
     digest = hashlib.sha256(_default_report(seed, faults).as_json().encode()).hexdigest()
     assert digest == REPORT_DIGESTS[(seed, faults)]
+
+
+def test_a_dropped_component_is_caught_at_a_formatted_point():
+    report = run_suite(
+        SuiteConfig(claims=("thm9",), chains=("split",), faults=("drop-component",))
+    )
+    rec = report.record("thm9")
+    assert rec.verdict == "fail"
+    # a split point formats as q:i, not as the raw pair
+    assert rec.witnesses[5] == "split: case 0: membership changed at -18/19:0"
+
+
+def _is_integer_key(v):
+    return v is None or type(v) is int or (
+        type(v) is tuple and all(type(c) is int for c in v)
+    )
+
+
+def test_thm9_membership_compares_integers_only(monkeypatch):
+    compare = suite._key_member
+    calls = 0
+
+    def integers_only(bounds, kx):
+        nonlocal calls
+        calls += 1
+        assert _is_integer_key(kx), kx
+        for lo, _, hi, _ in bounds:
+            assert _is_integer_key(lo) and _is_integer_key(hi), (lo, hi)
+        return compare(bounds, kx)
+
+    monkeypatch.setattr(suite, "_key_member", integers_only)
+    report = run_suite(SuiteConfig(claims=("thm9",)))
+    assert report.passed() and calls > 0
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["base", "reversed"])
+@pytest.mark.parametrize("cid", ["finite:9", "int", "dyadic01", "rat01", "omega+1", "split"])
+def test_integer_keys_order_and_decide_membership_as_the_keys_do(cid, reverse):
+    """On seeded pools, random sets, their canonical ends and midpoints of
+    pool points, the integer images keep every `<` and `==` of the keys and
+    membership on the images is `interval_member`; an inexact key raises."""
+    C = make_chain(cid)
+    if reverse:
+        C = ReversedChain(C)
+    rng = random.Random(f"integer-keys:{cid}:{reverse}")
+    pool = [(p, C.key(C.validate(p))) for p in C.sample(3, 9)]
+    scale = suite._IntegerKeys([k for _, k in pool])
+    mids = [C.between(a, b) for a, ka in pool for b, kb in pool if ka < kb]
+    points = [p for p, _ in pool] + [m for m in mids if m is not None]
+    images = {}
+    for _ in range(40):
+        IS = suite._random_interval_set(rng, C, pool)
+        sets = (IS, normalize(IS))
+        probes = points + [
+            e for S in sets for iv in S.intervals for e in (iv.lower, iv.upper)
+            if e is not NEG_INF and e is not POS_INF
+        ]
+        for p in probes:
+            images[C.key(p)] = scale.key(C.key(p))
+        for S in sets:
+            bounds = scale.bounds(S._bounds)
+            for p in probes:
+                assert suite._key_member(bounds, images[C.key(p)]) == interval_member(S, p), (
+                    S.intervals, p,
+                )
+    assert all(_is_integer_key(v) for v in images.values())
+    # distinct keys in ascending order: strictly ascending images keep
+    # every `<` and `==` among them
+    keys = sorted(images)
+    assert all(images[a] < images[b] for a, b in zip(keys, keys[1:]))
+    if cid in ("dyadic01", "rat01", "split"):
+        q = Fraction(1, 2 * scale.L)
+        x = C.validate((q, 0) if cid == "split" else q)
+        with pytest.raises(AssertionError, match=f"does not divide L = {scale.L}"):
+            scale.key(C.key(x))
+    else:
+        assert all(images[k] == k for k in keys)
