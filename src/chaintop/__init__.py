@@ -23,10 +23,8 @@ from .chains import (
     RationalUnitChain,
     ReversedChain,
     SplitChain,
-    infinite_catalog,
     make_chain,
 )
-from .definitions import is_continuous_poset
 from .errors import (
     AxiomViolation,
     CapExceeded,
@@ -82,14 +80,11 @@ from .poset import (
     maximal_chains,
 )
 from .relations import (
-    COMPACT,
-    SUP_OF_STRICT_DOWNSET,
     Corollary3Report,
     WayBelowReport,
     chain_way_below,
     corollary3_report,
     is_completely_distributive,
-    theorem2_dichotomy,
     way_below,
     way_below_report,
     way_way_below,
@@ -127,14 +122,10 @@ from .topology import (
     canonical_topology,
     discrete_topology,
     generate_topology,
-    has_order_convex_basis,
     hull,
     indiscrete_topology,
-    is_pospace,
-    is_topological_lattice,
     join_topologies,
     product_topology,
-    scott_closure,
     separation_report,
     subspace_topology,
     topology_equal,

@@ -56,14 +56,6 @@ class LocalStructure:
     pred: object = None
     succ: object = None
 
-    def as_dict(self) -> dict:
-        return {
-            "has_immediate_pred": self.has_immediate_pred,
-            "has_immediate_succ": self.has_immediate_succ,
-            "is_sup_of_strict_downset": self.is_sup_of_strict_downset,
-            "is_compact": self.is_compact,
-        }
-
 
 class ChainHandle(ABC):
     """A decidable totally ordered set.
@@ -594,7 +586,3 @@ def make_chain(spec: str) -> ChainHandle:
     if cls is None:
         raise UnknownCatalogId(f"unknown chain spec {spec!r}")
     return cls()
-
-
-def infinite_catalog() -> list[ChainHandle]:
-    return [cls() for cls in _FIXED_CATALOG.values()]

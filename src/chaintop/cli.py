@@ -15,7 +15,7 @@ from pathlib import Path
 from .chains import make_chain
 from .errors import ChainTopError, ParseError
 from .formats import (
-    dump_poset,
+    format_interval_set,
     load_poset,
     load_topology,
     parse_interval_set,
@@ -49,8 +49,6 @@ from .suite import (
 )
 from .topology import CANONICAL_NAMES, canonical_topology, join_topologies, separation_report, topology_equal
 
-from .formats import format_interval_set
-
 
 def _read(path: str) -> str:
     try:
@@ -60,8 +58,7 @@ def _read(path: str) -> str:
 
 
 def _load_poset_arg(path: str):
-    P, labels = load_poset(_read(path))
-    return P, labels
+    return load_poset(_read(path))
 
 
 def _emit(data) -> None:
@@ -88,7 +85,7 @@ def _parse_indices(text: str) -> list[int]:
 def _cmd_poset(args) -> int:
     P, labels = _load_poset_arg(args.file)
     if args.action == "check":
-        _emit({"ok": True, "n": P.n, "canonical": json.loads(dump_poset(P, labels))})
+        _emit({"ok": True, "n": P.n, "canonical": poset_to_dict(P, labels)})
     elif args.action == "classify":
         _emit(classify(P).as_dict())
     elif args.action == "maxchains":

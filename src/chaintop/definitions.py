@@ -92,19 +92,9 @@ def scott_topology(P: FinitePoset) -> Topology:
     return Topology.from_opens(P.n, opens)
 
 
-def hyper_prec(P: FinitePoset, y: int, x: int) -> bool:
-    """x lies in the upper-topology interior of the principal filter of y.
-
-    On a finite poset U_z = up-set of z in the upper topology, so the
-    filter is open and this is y <= x."""
-    P.check_index(x)
-    P.check_index(y)
-    T = canonical_topology(P, "upper")
-    return bool(T.interior_mask(P.up[y]) >> x & 1)
-
-
 def is_hypercontinuous(P: FinitePoset) -> bool:
-    """Every point is the directed supremum of its hyper-way-below set.
+    """Every point is the directed supremum of its hyper-way-below set:
+    the y with x in the upper-topology interior of the filter of y.
 
     True on every finite poset: that set is the down-set of x."""
     T = canonical_topology(P, "upper")

@@ -1,13 +1,15 @@
 """JSON file formats and CLI literal syntax.
 
 Poset files: {"n": int, "mode": "hasse"|"full", "pairs": [[x,y],...],
-"labels": optional [str]}.  Topology dumps: {"n": int, "opens":
-[[indices]...]} with opens sorted by (size, lexicographic).  Separating
-functions: {"lo": element or null, "hi": element or null,
-"complemented": bool}, elements in the chain's literal syntax.  Interval
-literals: "(a,b)", "[a,b]", "(-inf,b]", "[a,+inf)", comma-separated.
-Parsing is strict: malformed JSON raises ParseError with a position,
-bad fields raise SchemaError with the field path.
+"labels": optional [str]}.  Topology documents: {"n": int, "opens":
+[[indices]...]} with opens sorted by (size, lexicographic).  Both are
+read and written.  Separating functions are only written: {"lo":
+element or null, "hi": element or null, "complemented": bool}, elements
+in the chain's literal syntax.  The writers return dicts; the CLI turns
+them into JSON text.  Interval literals: "(a,b)", "[a,b]", "(-inf,b]",
+"[a,+inf)", comma-separated.  Parsing is strict: malformed JSON raises
+ParseError with a position, bad fields raise SchemaError with the field
+path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from typing import Optional
 
 from .chains import ChainHandle
-from .errors import MalformedElement, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from .poset import FinitePoset, build_poset
 from .separating import SeparatingFunction
@@ -81,10 +83,6 @@ def load_poset(text: str) -> tuple[FinitePoset, Optional[list[str]]]:
     return poset_from_dict(loads_json(text))
 
 
-def dump_poset(P: FinitePoset, labels: Optional[list[str]] = None) -> str:
-    return json.dumps(poset_to_dict(P, labels), sort_keys=True)
-
-
 def topology_from_dict(data: dict) -> Topology:
     if not isinstance(data, dict):
         raise SchemaError("topology document must be an object")
@@ -108,10 +106,6 @@ def topology_to_dict(T: Topology) -> dict:
 
 def load_topology(text: str) -> Topology:
     return topology_from_dict(loads_json(text))
-
-
-def dump_topology(T: Topology) -> str:
-    return json.dumps(topology_to_dict(T), sort_keys=True)
 
 
 _INTERVAL_TOKEN = re.compile(r"[\[(][^][()]*[\])]")
@@ -170,22 +164,3 @@ def separating_to_dict(f: SeparatingFunction) -> dict:
         "complemented": f.complemented,
     }
 
-
-def separating_from_dict(chain: ChainHandle, data: dict) -> SeparatingFunction:
-    if not isinstance(data, dict):
-        raise SchemaError("separating function document must be an object")
-    ends = []
-    for key in ("lo", "hi"):
-        text = _require(data, key, (str, type(None)), "")
-        try:
-            ends.append(None if text is None else chain.parse(text))
-        except MalformedElement as exc:
-            raise SchemaError(str(exc), path=key) from exc
-    if (ends[0] is None) != (ends[1] is None):
-        raise SchemaError("'lo' and 'hi' must both be null or both be elements", path="hi")
-    complemented = _require(data, "complemented", bool, "") if "complemented" in data else False
-    return SeparatingFunction(chain, ends[0], ends[1], complemented)
-
-
-def dump_separating(f: SeparatingFunction) -> str:
-    return json.dumps(separating_to_dict(f), sort_keys=True)

@@ -113,9 +113,6 @@ class IntervalSet:
             for iv in fixed
         ))
 
-    def member(self, x) -> bool:
-        return interval_member(self, x)
-
 
 def _point_key(chain: ChainHandle, e):
     """The order key of a validated endpoint; the infinities bracket

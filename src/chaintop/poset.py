@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .bitsets import as_set, elements, full_mask, mask_of
-from .errors import AxiomViolation, CapExceeded, IndexOutOfRange
+from .errors import AxiomViolation, CapExceeded, IndexOutOfRange, UnknownTarget
 
 POSET_CAP = 16  # no larger poset is built: subset kernels cost 2^n
 
@@ -221,7 +221,7 @@ def build_poset(
     if mode in ("hasse-covers", "hasse"):
         _transitive_close(rows, n)
     elif mode not in ("full-relation", "full"):
-        raise ValueError(f"unknown build mode {mode!r}")
+        raise UnknownTarget(f"unknown build mode {mode!r}")
     # the poset checks antisymmetry and transitivity itself
     return FinitePoset(n, tuple(rows))
 
@@ -238,7 +238,7 @@ def antichain_poset(n: int) -> FinitePoset:
 def cone(P: FinitePoset, subset: Iterable[int], direction: str) -> frozenset[int]:
     """Down/up cone of a subset; strict variants drop equality witnesses."""
     if direction not in ("down", "up", "strict-down", "strict-up"):
-        raise ValueError(f"unknown cone direction {direction!r}")
+        raise UnknownTarget(f"unknown cone direction {direction!r}")
     mask = P.as_mask(subset)
     rows = P.down if direction in _DOWN_DIRS else P.up
     out = 0
@@ -257,7 +257,7 @@ def bounds(P: FinitePoset, subset: Iterable[int], side: str) -> frozenset[int]:
         return as_set(P.upper_bounds_mask(mask))
     if side == "lower":
         return as_set(P.lower_bounds_mask(mask))
-    raise ValueError(f"unknown bounds side {side!r}")
+    raise UnknownTarget(f"unknown bounds side {side!r}")
 
 
 def extremum(P: FinitePoset, subset: Iterable[int], kind: str) -> Optional[int]:
@@ -271,7 +271,7 @@ def extremum(P: FinitePoset, subset: Iterable[int], kind: str) -> Optional[int]:
         return P.sup_mask(mask)
     if kind == "inf":
         return P.inf_mask(mask)
-    raise ValueError(f"unknown extremum kind {kind!r}")
+    raise UnknownTarget(f"unknown extremum kind {kind!r}")
 
 
 def is_directed(P: FinitePoset, subset: Iterable[int]) -> bool:

@@ -1,14 +1,14 @@
-"""Way-below machinery: compactness, continuity flavours, and the
-chain-specific dichotomies.
+"""Way-below machinery: way-below and way-way-below, complete
+distributivity, and the report on where strict order and way-below
+agree on a chain.
 
 On a finite poset every directed set has a greatest element, its
 supremum, so way-below is the order itself and `way_below_report` reads
 its table from the up-sets.  Way-way-below has no such closed form: a
 row of it takes one pass over the subsets that avoid the principal
-filter.  Hyper-way-below is the order too.  The brute-force
-definitions live in `definitions`, as the oracles these are tested
-against.  On catalog chains the relation is decided through local
-structure (gaps, predecessors, extremes)."""
+filter.  The brute-force definitions live in `definitions`, as the
+oracles these are tested against.  On catalog chains the relation is
+decided through local structure (gaps, predecessors, extremes)."""
 
 from __future__ import annotations
 
@@ -18,9 +18,6 @@ from .bitsets import as_set, elements
 from .chains import ChainHandle, FiniteChain
 from .errors import NotAChain
 from .poset import FinitePoset, classify
-
-COMPACT = "compact"
-SUP_OF_STRICT_DOWNSET = "sup-of-strict-downset"
 
 
 def way_below(P: FinitePoset, x: int, y: int) -> bool:
@@ -57,9 +54,6 @@ class WayBelowReport:
     def compact(self) -> frozenset[int]:
         return as_set(self.compact_mask)
 
-    def holds(self, x: int, y: int) -> bool:
-        return bool(self.ll[x] >> y & 1)
-
     def as_dict(self) -> dict:
         n = self.poset.n
         return {
@@ -83,25 +77,6 @@ def chain_way_below(C: ChainHandle, x, y) -> bool:
     if c > 0:
         return False
     return C.local_structure(x).is_compact
-
-
-def theorem2_dichotomy(obj, x) -> str:
-    """Each chain element is compact or the supremum of its strict
-    downset, never both and never neither."""
-    if isinstance(obj, ChainHandle):
-        ls = obj.local_structure(x)
-        compact, sup_of = ls.is_compact, ls.is_sup_of_strict_downset
-    else:
-        P: FinitePoset = obj
-        if not P.is_chain:
-            raise NotAChain("dichotomy requires a totally ordered input")
-        P.check_index(x)
-        compact = way_below(P, x, x)
-        strict_down = P.strict_down(x)
-        sup_of = bool(strict_down) and P.sup_mask(strict_down) == x
-    if compact == sup_of:
-        raise AssertionError(f"dichotomy failed at {x!r}: compact={compact}, sup={sup_of}")
-    return COMPACT if compact else SUP_OF_STRICT_DOWNSET
 
 
 def way_way_below_row(P: FinitePoset, x: int) -> int:

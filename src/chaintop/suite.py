@@ -61,14 +61,13 @@ from .separating import SeparatingFunction, separate_from_lower, verify_separati
 from .topology import (
     Topology,
     canonical_topology,
-    has_order_convex_basis,
     hull,
-    is_pospace,
-    is_topological_lattice,
     join_topologies,
     normality_failure,
+    order_convex_basis_failure,
     pospace_failure,
     separation_report,
+    topological_lattice_failure,
     topology_equal,
 )
 
@@ -334,14 +333,18 @@ def _claim_prop4(cfg: SuiteConfig) -> _Check:
     for n in _sizes(cfg):
         P = chain_poset(n)
         T = canonical_topology(P, "intrinsic")
-        check.run(is_pospace(P, T), lambda: f"C{n}: intrinsic not a pospace")
+        pair = pospace_failure(P, T)
+        check.run(pair is None, lambda: f"C{n}: intrinsic not a pospace at {pair}")
+        w = topological_lattice_failure(P, T)
         check.run(
-            is_topological_lattice(P, T), lambda: f"C{n}: intrinsic not a topological lattice"
+            w is None,
+            lambda: f"C{n}: intrinsic {w[0]} not continuous at ({w[1]}, {w[2]}): "
+            f"{w[3]} in U_{w[1]} and {w[4]} in U_{w[2]}",
         )
         check.run(separation_report(T).hausdorff, lambda: f"C{n}: intrinsic not Hausdorff")
     C2 = chain_poset(2)
     check.run(
-        not is_pospace(C2, canonical_topology(C2, "upper")),
+        pospace_failure(C2, canonical_topology(C2, "upper")) is not None,
         lambda: "negative control: C2 with upper topology claims to be a pospace",
     )
     return check
@@ -445,9 +448,11 @@ def _claim_thm8_1(cfg: SuiteConfig) -> _Check:
     check = _Check("thm8-1")
     for n in _sizes(cfg):
         P = chain_poset(n)
+        w = order_convex_basis_failure(P, canonical_topology(P, "intrinsic"))
         check.run(
-            has_order_convex_basis(P, canonical_topology(P, "intrinsic")),
-            lambda: f"C{n}: intrinsic topology lacks an order-convex basis",
+            w is None,
+            lambda: f"C{n}: intrinsic U_{w[0]} is not order-convex: "
+            f"{w[1]} <= {w[2]} <= {w[3]} and {w[2]} is outside it",
         )
     return check
 

@@ -13,8 +13,9 @@ kept in `definitions` as the oracle.
 The separation and continuity checks use that an open set exists
 around A avoiding B iff the least one does, the union of the U_x over
 A; so normality and complete (hereditary) normality reduce to pairs of
-points and cost O(n^2) at any size.  Each property check has one
-kernel that returns a failing point, pair or subset, or None.
+points and cost O(n^2) at any size.  The normality, pospace,
+topological-lattice and order-convex-basis checks are each one kernel
+that returns the points where the property fails, or None.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .bitsets import as_set, elements, full_mask, mask_of
-from .errors import CarrierMismatch, IndexOutOfRange, NotALattice, NotATopology
+from .errors import CarrierMismatch, IndexOutOfRange, NotALattice, NotATopology, UnknownTarget
 from .poset import FinitePoset
 
 CANONICAL_NAMES = (
@@ -115,9 +116,6 @@ class Topology:
     def is_closed_mask(self, mask: int) -> bool:
         return self.is_open_mask(self.full & ~mask)
 
-    def open_sets(self) -> list[frozenset[int]]:
-        return [as_set(m) for m in self.sorted_opens]
-
     def interior_mask(self, mask: int) -> int:
         return mask_of(x for x, u in enumerate(self.minimal) if not u & ~mask)
 
@@ -196,7 +194,7 @@ def canonical_topology(P: FinitePoset, name: str) -> Topology:
         return join_topologies(Topology(P.n, P.down), _upper_topology(P))
     if name == "bi_scott":
         return join_topologies(Topology(P.n, P.up), Topology(P.n, P.down))
-    raise ValueError(f"unknown topology name {name!r}, expected one of {CANONICAL_NAMES}")
+    raise UnknownTarget(f"unknown topology name {name!r}, expected one of {CANONICAL_NAMES}")
 
 
 def discrete_topology(n: int) -> Topology:
@@ -216,12 +214,7 @@ def hull(T: Topology, subset: Iterable[int], kind: str) -> frozenset[int]:
         return as_set(T.interior_mask(mask))
     if kind == "closure":
         return as_set(T.closure_mask(mask))
-    raise ValueError(f"unknown hull kind {kind!r}")
-
-
-def scott_closure(P: FinitePoset, subset: Iterable[int]) -> frozenset[int]:
-    """Closure of the subset in the Scott topology of P."""
-    return hull(canonical_topology(P, "scott"), subset, "closure")
+    raise UnknownTarget(f"unknown hull kind {kind!r}")
 
 
 def subspace_topology(T: Topology, subset: Iterable[int]) -> Topology:
@@ -332,11 +325,6 @@ def pospace_failure(P: FinitePoset, T: Topology) -> Optional[tuple[int, int]]:
     return None
 
 
-def is_pospace(P: FinitePoset, T: Topology) -> bool:
-    """Whether the order relation is closed in the product topology."""
-    return pospace_failure(P, T) is None
-
-
 def _pairwise_op_table(P: FinitePoset, kind: str) -> Optional[list[list[int]]]:
     table = []
     for x in range(P.n):
@@ -351,8 +339,12 @@ def _pairwise_op_table(P: FinitePoset, kind: str) -> Optional[list[list[int]]]:
     return table
 
 
-def is_topological_lattice(P: FinitePoset, T: Topology) -> bool:
-    """Continuity of pairwise meet and join from the product topology.
+def topological_lattice_failure(
+    P: FinitePoset, T: Topology
+) -> Optional[tuple[str, int, int, int, int]]:
+    """(op, x, y, a, b) with op "meet" or "join", a in U_x, b in U_y and
+    op(a, b) outside U_{op(x, y)}, or None when pairwise meet and join
+    are continuous from the product topology.
 
     Both maps are continuous iff the image of the least open rectangle
     around (x, y) stays inside the least neighbourhood of the value.
@@ -364,33 +356,32 @@ def is_topological_lattice(P: FinitePoset, T: Topology) -> bool:
     if meet is None or join is None:
         raise NotALattice("some pair lacks a meet or a join")
     minimal = T.minimal
-    for table in (meet, join):
+    for op, table in (("meet", meet), ("join", join)):
         for x in range(P.n):
             for y in range(P.n):
                 target = minimal[table[x][y]]
                 for a in elements(minimal[x]):
                     for b in elements(minimal[y]):
                         if not target >> table[a][b] & 1:
-                            return False
-    return True
+                            return op, x, y, a, b
+    return None
 
 
-def is_order_convex_mask(P: FinitePoset, mask: int) -> bool:
-    for a in elements(mask):
-        for b in elements(mask):
-            if P.up[a] & P.down[b] & ~mask:
-                return False
-    return True
-
-
-def has_order_convex_basis(P: FinitePoset, T: Topology) -> bool:
-    """Every point of every open set has an open order-convex
+def order_convex_basis_failure(P: FinitePoset, T: Topology) -> Optional[tuple[int, int, int, int]]:
+    """(x, a, c, b) with a, b in U_x, a <= c <= b and c outside U_x, or
+    None when every point of every open set has an open order-convex
     neighbourhood inside it.
 
-    Inside U_x the only open set around x is U_x itself, so this holds
-    iff every least neighbourhood is order-convex.
+    Inside U_x the only open set around x is U_x itself, so a basis of
+    order-convex opens exists iff every least neighbourhood is
+    order-convex.
     """
     if P.n != T.n:
         raise CarrierMismatch(f"poset carrier {P.n} differs from topology carrier {T.n}")
-    return all(is_order_convex_mask(P, u) for u in T.minimal)
-
+    for x, u in enumerate(T.minimal):
+        for a in elements(u):
+            for b in elements(u):
+                gap = P.up[a] & P.down[b] & ~u
+                if gap:
+                    return x, a, elements(gap)[0], b
+    return None

@@ -23,16 +23,12 @@ from chaintop import (
     corollary3_report,
     decompose_open_finite,
     dm_closure,
-    has_order_convex_basis,
     hull,
     interval_member,
     is_completely_distributive,
-    is_pospace,
-    is_topological_lattice,
     make_chain,
     normalize,
     run_suite,
-    scott_closure,
     separation_report,
     topology_equal,
     way_way_below_set,
@@ -40,6 +36,11 @@ from chaintop import (
 from chaintop import definitions
 from chaintop.bitsets import as_set, mask_of
 from chaintop.intervals import _mergeable
+from chaintop.topology import (
+    order_convex_basis_failure,
+    pospace_failure,
+    topological_lattice_failure,
+)
 from chaintop.suite import (
     FAULT_KERNELS,
     INFINITE_CHAIN_IDS,
@@ -147,12 +148,13 @@ def test_criterion_5_dm_closure_coincidence():
     ok = True
     for n in range(1, 7):
         P = chain_poset(n)
+        scott = canonical_topology(P, "scott")
         for mask in range(1, 1 << n):
             s = as_set(mask)
-            ok = ok and scott_closure(P, s) == dm_closure(P, s)
+            ok = ok and hull(scott, s, "closure") == dm_closure(P, s)
         # the empty set is the one boundary case where the two closures
         # are forced apart: the cut closure yields the least element
-        ok = ok and scott_closure(P, set()) == frozenset()
+        ok = ok and hull(scott, set(), "closure") == frozenset()
         ok = ok and dm_closure(P, set()) == {0}
     _criterion(
         "criterion-5 scott closure equals cut closure (nonempty subsets, n<=6)",
@@ -191,12 +193,12 @@ def test_criterion_6_separation_package():
         T = canonical_topology(P, "intrinsic")
         rep = separation_report(T)
         ok = ok and rep.t1 and rep.hausdorff and rep.normal and rep.completely_normal
-        ok = ok and is_pospace(P, T)
-        ok = ok and is_topological_lattice(P, T)
-        ok = ok and has_order_convex_basis(P, T)
+        ok = ok and pospace_failure(P, T) is None
+        ok = ok and topological_lattice_failure(P, T) is None
+        ok = ok and order_convex_basis_failure(P, T) is None
         ok = ok and definitions.xu_condition(P)
     C2 = chain_poset(2)
-    ok = ok and not is_pospace(C2, canonical_topology(C2, "upper"))
+    ok = ok and pospace_failure(C2, canonical_topology(C2, "upper")) is not None
     ok = ok and not separation_report(canonical_topology(C2, "upper")).t1
     # exhaustive search over all topologies on 4 points for a non-normal one
     non_normal = None
@@ -297,7 +299,7 @@ def test_criterion_9_hypercontinuity():
         for y in range(n):
             interior = hull(T, as_set(P.up[y]), "interior")
             for x in range(n):
-                ok = ok and definitions.hyper_prec(P, y, x) == (x in interior)
+                ok = ok and (x in interior) == P.leq(y, x)
     _criterion("criterion-9 cor6 hypercontinuity of chains (n<=7)", ok)
 
 

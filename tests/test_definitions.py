@@ -113,11 +113,13 @@ def test_every_finite_poset_is_continuous_by_definition():
 
 
 def test_hyper_prec_is_the_definition():
-    # on a finite poset hyper-way-below is the order
+    # on a finite poset hyper-way-below is the order: y is hyper-way-below
+    # x iff x lies in the upper-topology interior of the filter of y
     for P in POSETS:
+        upper = canonical_topology(P, "upper")
         for x in range(P.n):
             for y in range(P.n):
-                assert definitions.hyper_prec(P, y, x) == P.leq(y, x), (P.up, x, y)
+                assert (upper.interior_mask(P.up[y]) >> x & 1) == P.leq(y, x), (P.up, x, y)
 
 
 def test_every_finite_poset_is_hypercontinuous_by_definition():

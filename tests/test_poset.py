@@ -9,14 +9,17 @@ from chaintop import (
     FinitePoset,
     IndexOutOfRange,
     PosetMap,
+    UnknownTarget,
     antichain_poset,
     bounds,
     build_poset,
+    canonical_topology,
     chain_poset,
     classify,
     cone,
     dm_closure,
     extremum,
+    hull,
     is_cut_stable,
     is_directed,
     maximal_chains,
@@ -297,3 +300,20 @@ def test_chain_suprema_are_maxima():
         for mask in range(1, 1 << n):
             members = [i for i in range(n) if mask >> i & 1]
             assert extremum(P, members, "sup") == max(members)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P: canonical_topology(P, "euclidean"),
+        lambda P: hull(canonical_topology(P, "upper"), {0}, "boundary"),
+        lambda P: cone(P, {0}, "sideways"),
+        lambda P: bounds(P, {0}, "middle"),
+        lambda P: extremum(P, {0}, "max"),
+        lambda P: build_poset(2, [(0, 1)], "dag"),
+    ],
+    ids=["canonical_topology", "hull", "cone", "bounds", "extremum", "build_poset"],
+)
+def test_a_bad_selector_is_a_library_error(call):
+    with pytest.raises(UnknownTarget):
+        call(chain_poset(2))

@@ -4,20 +4,18 @@ from fractions import Fraction
 import pytest
 
 from chaintop import (
-    COMPACT,
-    SUP_OF_STRICT_DOWNSET,
     CapExceeded,
     FiniteChain,
     NotAChain,
     OMEGA,
     antichain_poset,
     build_poset,
+    canonical_topology,
     chain_poset,
     chain_way_below,
     corollary3_report,
     is_completely_distributive,
     make_chain,
-    theorem2_dichotomy,
     way_below,
     way_below_report,
     way_way_below,
@@ -101,23 +99,26 @@ def test_chain_way_below_agrees_with_oracle_on_finite_chains():
 
 
 def test_theorem2_examples():
-    assert theorem2_dichotomy(make_chain("omega+1"), OMEGA) == SUP_OF_STRICT_DOWNSET
-    assert theorem2_dichotomy(chain_poset(4), 2) == COMPACT
+    # each element is compact or the supremum of its strict downset
+    ls = make_chain("omega+1").local_structure(OMEGA)
+    assert ls.is_sup_of_strict_downset and not ls.is_compact
+    C4 = chain_poset(4)
+    assert way_below(C4, 2, 2) and C4.sup_mask(C4.strict_down(2)) != 2
     sp = make_chain("split")
-    assert theorem2_dichotomy(sp, (Fraction(1, 2), 1)) == COMPACT
-    assert theorem2_dichotomy(sp, (Fraction(1, 2), 0)) == SUP_OF_STRICT_DOWNSET
-
-
-def test_theorem2_rejects_non_chains():
-    with pytest.raises(NotAChain):
-        theorem2_dichotomy(m3_poset(), 0)
+    ls = sp.local_structure((Fraction(1, 2), 1))
+    assert ls.is_compact and not ls.is_sup_of_strict_downset
+    ls = sp.local_structure((Fraction(1, 2), 0))
+    assert ls.is_sup_of_strict_downset and not ls.is_compact
 
 
 def test_theorem2_exhaustive_on_finite_chains():
+    # finite chains are all-compact, so no element is the supremum of
+    # a nonempty strict downset
     for n in range(1, 8):
         P = chain_poset(n)
         for x in range(n):
-            assert theorem2_dichotomy(P, x) == COMPACT  # finite chains are all-compact
+            assert definitions.way_below(P, x, x)
+            assert x == 0 or P.sup_mask(P.strict_down(x)) != x
 
 
 def test_way_way_below():
@@ -162,10 +163,14 @@ def test_continuous_poset():
 
 
 def test_hyper_prec():
+    # y is hyper-way-below x iff x lies in the upper-topology interior
+    # of the filter of y
     C3 = chain_poset(3)
-    assert definitions.hyper_prec(C3, 1, 2)
-    assert not definitions.hyper_prec(C3, 2, 1)
-    assert definitions.hyper_prec(m3_poset(), 1, 1)
+    upper = canonical_topology(C3, "upper")
+    assert upper.interior_mask(C3.up[1]) >> 2 & 1
+    assert not upper.interior_mask(C3.up[2]) >> 1 & 1
+    M3 = m3_poset()
+    assert canonical_topology(M3, "upper").interior_mask(M3.up[1]) >> 1 & 1
 
 
 def test_hypercontinuous():

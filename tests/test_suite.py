@@ -20,7 +20,6 @@ from chaintop import (
     find_counterexample,
     interval_member,
     is_completely_distributive,
-    is_pospace,
     canonical_topology,
     classify,
     make_chain,
@@ -29,6 +28,7 @@ from chaintop import (
     separation_report,
 )
 from chaintop.intervals import NEG_INF, POS_INF
+from chaintop.topology import Topology, pospace_failure
 
 SMALL = SuiteConfig(
     max_n=4,
@@ -177,7 +177,7 @@ def test_search_witnesses_are_genuine():
     found = find_counterexample(
         SearchConfig(target="pospace_fails_for_upper", min_n=2, max_n=3, seed=0)
     )
-    assert not is_pospace(found.poset, canonical_topology(found.poset, "upper"))
+    assert pospace_failure(found.poset, canonical_topology(found.poset, "upper")) is not None
 
     found = find_counterexample(
         SearchConfig(target="conditional_completeness_fails", min_n=4, max_n=6, seed=0)
@@ -390,3 +390,28 @@ def test_integer_keys_order_and_decide_membership_as_the_keys_do(cid, reverse):
             scale.key(C.key(x))
     else:
         assert all(images[k] == k for k in keys)
+
+
+def test_a_planted_intrinsic_topology_is_caught_with_its_points(monkeypatch):
+    # U_0 = {0, 2} on the 3-chain: a topology, but neither T1 nor Hausdorff,
+    # and U_0 is not order-convex
+    planted = Topology(3, (0b101, 0b010, 0b100))
+    real = suite.canonical_topology
+
+    def canonical(P, name):
+        return planted if name == "intrinsic" and P.n == 3 else real(P, name)
+
+    monkeypatch.setattr(suite, "canonical_topology", canonical)
+    report = run_suite(SuiteConfig(min_n=3, max_n=3, claims=("prop4", "thm7", "thm8-1")))
+    assert {r.claim: r.witnesses for r in report.records} == {
+        "prop4": (
+            "C3: intrinsic not a pospace at (1, 0)",
+            "C3: intrinsic meet not continuous at (0, 1): 2 in U_0 and 1 in U_1",
+            "C3: intrinsic not Hausdorff",
+        ),
+        "thm7": (
+            "C3: separation report {'t1': False, 'hausdorff': False, 'normal': True,"
+            " 'completely_normal': True}",
+        ),
+        "thm8-1": ("C3: intrinsic U_0 is not order-convex: 0 <= 1 <= 2 and 1 is outside it",),
+    }

@@ -6,6 +6,7 @@ from chaintop import (
     CarrierMismatch,
     NotALattice,
     Topology,
+    UnknownTarget,
     antichain_poset,
     build_poset,
     canonical_topology,
@@ -13,26 +14,27 @@ from chaintop import (
     discrete_topology,
     dm_closure,
     generate_topology,
-    has_order_convex_basis,
     hull,
     indiscrete_topology,
-    is_pospace,
-    is_topological_lattice,
     join_topologies,
     product_topology,
-    scott_closure,
     separation_report,
     subspace_topology,
     topology_equal,
 )
 from chaintop import definitions
-from chaintop.bitsets import as_set, mask_of
+from chaintop.bitsets import as_set, elements, mask_of
 from chaintop.suite import m3_poset, v_poset
+from chaintop.topology import (
+    order_convex_basis_failure,
+    pospace_failure,
+    topological_lattice_failure,
+)
 
 
 def opens_as_sets(T):
     # keeps the canonical (size, lexicographic) order of the dump format
-    return [sorted(s) for s in T.open_sets()]
+    return [list(elements(m)) for m in T.sorted_opens]
 
 
 def test_generate_topology_from_subbasis():
@@ -131,7 +133,7 @@ def test_seven_way_equality_names_exist():
 
 
 def test_unknown_topology_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownTarget):
         canonical_topology(chain_poset(2), "euclidean")
 
 
@@ -155,24 +157,25 @@ def test_hull_laws():
 
 
 def test_scott_closure_examples():
-    C4 = chain_poset(4)
-    assert scott_closure(C4, {1, 2}) == {0, 1, 2}
-    assert scott_closure(C4, {3}) == {0, 1, 2, 3}
+    scott = canonical_topology(chain_poset(4), "scott")
+    assert hull(scott, {1, 2}, "closure") == {0, 1, 2}
+    assert hull(scott, {3}, "closure") == {0, 1, 2, 3}
 
 
 def test_scott_closure_equals_dm_closure_on_nonempty():
     for n in range(1, 7):
         P = chain_poset(n)
+        scott = canonical_topology(P, "scott")
         for mask in range(1, 1 << n):
             s = as_set(mask)
-            assert scott_closure(P, s) == dm_closure(P, s)
+            assert hull(scott, s, "closure") == dm_closure(P, s)
 
 
 def test_closures_differ_on_the_empty_set():
     # forced boundary case: the cut closure of nothing is the least
     # element, the topological closure stays empty
     C4 = chain_poset(4)
-    assert scott_closure(C4, set()) == frozenset()
+    assert hull(canonical_topology(C4, "scott"), set(), "closure") == frozenset()
     assert dm_closure(C4, set()) == {0}
 
 
@@ -243,10 +246,13 @@ def test_v_poset_upper_topology_not_normal():
 
 def test_is_pospace():
     C2 = chain_poset(2)
-    assert is_pospace(C2, canonical_topology(C2, "intrinsic"))
-    assert not is_pospace(C2, canonical_topology(C2, "upper"))
+    assert pospace_failure(C2, canonical_topology(C2, "intrinsic")) is None
+    # 1 <=/ 0, and every rectangle around (1, 0) meets the order at (1, 1)
+    assert pospace_failure(C2, canonical_topology(C2, "upper")) == (1, 0)
     P1 = build_poset(1, [])
-    assert is_pospace(P1, indiscrete_topology(1))
+    assert pospace_failure(P1, indiscrete_topology(1)) is None
+    with pytest.raises(CarrierMismatch):
+        pospace_failure(C2, discrete_topology(3))
 
 
 def test_is_pospace_matches_product_closure_oracle():
@@ -259,18 +265,20 @@ def test_is_pospace_matches_product_closure_oracle():
             graph = mask_of(
                 x * P.n + y for x in range(P.n) for y in range(P.n) if P.leq(x, y)
             )
-            assert is_pospace(P, T) == prod.is_closed_mask(graph)
+            assert (pospace_failure(P, T) is None) == prod.is_closed_mask(graph)
 
 
 def test_is_topological_lattice():
     C4 = chain_poset(4)
-    assert is_topological_lattice(C4, canonical_topology(C4, "intrinsic"))
-    assert is_topological_lattice(C4, discrete_topology(4))
+    assert topological_lattice_failure(C4, canonical_topology(C4, "intrinsic")) is None
+    assert topological_lattice_failure(C4, discrete_topology(4)) is None
     C2 = chain_poset(2)
-    assert is_topological_lattice(C2, indiscrete_topology(2))
-    assert is_topological_lattice(C2, canonical_topology(C2, "upper"))
+    assert topological_lattice_failure(C2, indiscrete_topology(2)) is None
+    assert topological_lattice_failure(C2, canonical_topology(C2, "upper")) is None
     with pytest.raises(NotALattice):
-        is_topological_lattice(v_poset(), discrete_topology(4))
+        topological_lattice_failure(v_poset(), discrete_topology(4))
+    with pytest.raises(CarrierMismatch):
+        topological_lattice_failure(C2, discrete_topology(3))
 
 
 def test_meet_continuity_matches_preimage_oracle():
@@ -297,16 +305,18 @@ def test_meet_continuity_matches_preimage_oracle():
             )
             meet_ok = meet_ok and prod.is_open_mask(meet_pre)
             join_ok = join_ok and prod.is_open_mask(join_pre)
-        assert is_topological_lattice(P, T) == (meet_ok and join_ok)
+        assert (topological_lattice_failure(P, T) is None) == (meet_ok and join_ok)
 
 
 def test_order_convex_basis():
     for n in range(1, 7):
         P = chain_poset(n)
-        assert has_order_convex_basis(P, canonical_topology(P, "intrinsic"))
-        assert has_order_convex_basis(P, discrete_topology(n))
+        assert order_convex_basis_failure(P, canonical_topology(P, "intrinsic")) is None
+        assert order_convex_basis_failure(P, discrete_topology(n)) is None
     M3 = m3_poset()
-    assert has_order_convex_basis(M3, canonical_topology(M3, "bi_scott"))
+    assert order_convex_basis_failure(M3, canonical_topology(M3, "bi_scott")) is None
+    with pytest.raises(CarrierMismatch):
+        order_convex_basis_failure(M3, discrete_topology(4))
 
 
 def test_xu_condition():

@@ -21,7 +21,6 @@ from chaintop import (
     chain_poset,
     classify,
     generate_topology,
-    has_order_convex_basis,
     join_topologies,
     product_topology,
     separation_report,
@@ -34,9 +33,10 @@ from chaintop.poset import conditional_completeness_failure
 from chaintop.relations import distributivity_failure
 from chaintop.topology import (
     complete_normality_failure,
-    is_order_convex_mask,
     normality_failure,
+    order_convex_basis_failure,
     pospace_failure,
+    topological_lattice_failure,
 )
 
 
@@ -91,6 +91,28 @@ def family_topology(P, name):
         "bi_scott": lambda: close_family(P.n, scott_family(P) | scott_family(P.dual)),
     }
     return families[name]()
+
+
+def is_order_convex(P, mask):
+    """Every c between two members of the mask is a member."""
+    return all(
+        mask >> c & 1
+        for a in elements(mask)
+        for b in elements(mask)
+        for c in range(P.n)
+        if P.leq(a, c) and P.leq(c, b)
+    )
+
+
+def has_convex_basis(P, T):
+    """Every point of every open set has an open order-convex
+    neighbourhood inside it."""
+    convex = [u for u in T.opens if is_order_convex(P, u)]
+    return all(
+        any(v >> x & 1 and not v & ~u for v in convex)
+        for u in T.opens
+        for x in elements(u)
+    )
 
 
 def random_posets(count, max_n, seed):
@@ -164,13 +186,7 @@ def test_open_interior_and_convex_basis_match_the_family():
                 assert T.is_open_mask(mask) == (mask in T.opens)
                 inside = [u for u in T.opens if not u & ~mask]
                 assert T.interior_mask(mask) == mask_of(x for u in inside for x in elements(u))
-            convex = [u for u in T.opens if is_order_convex_mask(P, u)]
-            by_definition = all(
-                any(v >> x & 1 and not v & ~u for v in convex)
-                for u in T.opens
-                for x in elements(u)
-            )
-            assert has_order_convex_basis(P, T) == by_definition
+            assert (order_convex_basis_failure(P, T) is None) == has_convex_basis(P, T)
 
 
 def test_from_opens_accepts_exactly_the_closed_families():
@@ -231,7 +247,8 @@ def all_posets(n):
     return out
 
 
-SMALL_TOPOLOGIES = [T for n in range(5) for T in all_topologies(n)]
+TOPOLOGIES = [all_topologies(n) for n in range(5)]
+SMALL_TOPOLOGIES = [T for family in TOPOLOGIES for T in family]
 POSETS8 = random_posets(24, 8, seed=23) + [chain_poset(8), antichain_poset(8)]
 
 
@@ -315,7 +332,7 @@ def test_pospace_witnesses_are_genuine():
     for n in range(4):
         for P in all_posets(n):
             graph = mask_of(x * n + y for x in range(n) for y in range(n) if P.leq(x, y))
-            for T in all_topologies(n):
+            for T in TOPOLOGIES[n]:
                 hull = product_topology(T, T).closure_mask(graph)
                 pair = pospace_failure(P, T)
                 if pair is None:
@@ -323,6 +340,81 @@ def test_pospace_witnesses_are_genuine():
                 else:
                     x, y = pair
                     assert not P.leq(x, y) and hull >> (x * n + y) & 1
+
+
+def pairwise(P, x, y, op):
+    """The meet or join of x and y, found from the order alone."""
+    if op == "meet":
+        bounds = [z for z in range(P.n) if P.leq(z, x) and P.leq(z, y)]
+        return next(z for z in bounds if all(P.leq(w, z) for w in bounds))
+    bounds = [z for z in range(P.n) if P.leq(x, z) and P.leq(y, z)]
+    return next(z for z in bounds if all(P.leq(z, w) for w in bounds))
+
+
+def is_lattice(P):
+    return P.n > 0 and all(
+        P.sup_mask(1 << x | 1 << y) is not None and P.inf_mask(1 << x | 1 << y) is not None
+        for x in range(P.n)
+        for y in range(P.n)
+    )
+
+
+# every lattice on at most 3 labelled points, and both shapes on 4
+SMALL_LATTICES = [P for n in range(1, 4) for P in all_posets(n) if is_lattice(P)] + [
+    chain_poset(4),
+    build_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+]
+
+
+def test_topological_lattice_witnesses_are_genuine():
+    # meet and join must pull every open back to an open of the
+    # materialized product topology
+    for P in SMALL_LATTICES:
+        n = P.n
+        ops = {op: [[pairwise(P, x, y, op) for y in range(n)] for x in range(n)] for op in ("meet", "join")}
+        for T in TOPOLOGIES[n]:
+            prod = product_topology(T, T)
+            continuous = all(
+                prod.is_open_mask(mask_of(x * n + y for x in range(n) for y in range(n) if w >> table[x][y] & 1))
+                for table in ops.values()
+                for w in T.opens
+            )
+            found = topological_lattice_failure(P, T)
+            if found is None:
+                assert continuous, (P.up, T)
+            else:
+                op, x, y, a, b = found
+                table = ops[op]
+                assert not continuous, (P.up, T, found)
+                assert T.minimal[x] >> a & 1 and T.minimal[y] >> b & 1, (P.up, T, found)
+                assert not T.minimal[table[x][y]] >> table[a][b] & 1, (P.up, T, found)
+
+
+def test_order_convex_basis_witnesses_are_genuine():
+    for n in range(4):
+        for P in all_posets(n):
+            for T in TOPOLOGIES[n]:
+                found = order_convex_basis_failure(P, T)
+                if found is None:
+                    assert has_convex_basis(P, T), (P.up, T)
+                else:
+                    x, a, c, b = found
+                    u = T.minimal[x]
+                    assert not has_convex_basis(P, T), (P.up, T, found)
+                    assert u >> a & 1 and u >> b & 1 and not u >> c & 1, (P.up, T, found)
+                    assert P.leq(a, c) and P.leq(c, b), (P.up, T, found)
+
+
+def test_a_planted_neighbourhood_names_its_points():
+    # U_0 = {0, 2} on the chain 0 < 1 < 2: still a topology, since U_2 = {2}
+    C3 = chain_poset(3)
+    T = Topology(3, (0b101, 0b010, 0b100))
+    # every rectangle around (1, 0) meets the order at (1, 2)
+    assert pospace_failure(C3, T) == (1, 0)
+    # 2 in U_0 and 1 in U_1, but meet(2, 1) = 1 lies outside U_meet(0, 1) = U_0
+    assert topological_lattice_failure(C3, T) == ("meet", 0, 1, 2, 1)
+    x, a, c, b = order_convex_basis_failure(C3, T)
+    assert (x, c) == (0, 1) and (a, b) == (0, 2)
 
 
 def test_distributivity_witnesses_are_genuine():
